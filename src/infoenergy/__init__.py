@@ -18,8 +18,8 @@ from .linksim import (Codebook, FixedPowerGaussianRelay, GaussianMacSampler,
                       check_energy_markov_bound, generate_codebook,
                       generate_mac_codebooks, simulate_decode,
                       simulate_mac_energy, simulate_mhc_harvest)
-from .mac_region import (GaussianMacSolution, MacBoundaryResult, MacGridSpec,
-                         MacProblem, RateEnergyTriple, brute_force_mac_oracle,
+from .mac_region import (GaussianMacSolution, MacBoundaryResult, MacProblem,
+                         RateEnergyTriple, brute_force_mac_oracle,
                          gaussian_mac_sweep, gaussian_mac_timeshare,
                          gaussian_unconstrained_sum_rate, mac_boundary_point,
                          mac_region_sweep, max_received_energy, simplex_grid)

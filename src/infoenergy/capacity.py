@@ -51,8 +51,9 @@ def _ba_lagrangian(W: np.ndarray, cost: np.ndarray, s: float):
     """Maximize I(r) - s*E_r[cost] over input pmfs r by alternating updates.
 
     Returns (r, mutual information in bits, E[cost], objective iterates in
-    bits).  The objective sequence is non-decreasing; that is asserted per
-    iteration because it is the algorithm's correctness certificate.
+    bits).  The objective sequence is non-decreasing; that is checked per
+    iteration, raising RuntimeError, because it is the algorithm's correctness
+    certificate.
     """
     m = W.shape[0]
     r = np.full(m, 1.0 / m)
@@ -62,7 +63,8 @@ def _ba_lagrangian(W: np.ndarray, cost: np.ndarray, s: float):
         q = r @ W
         d = _divergence_rows(W, q)
         objective = (float(r @ d) - s * float(r @ cost)) / LN2
-        assert objective >= prev - 1e-10, "objective decreased during iteration"
+        if not objective >= prev - 1e-10:
+            raise RuntimeError("Blahut-Arimoto objective decreased during iteration")
         iterates.append(objective)
         if objective - prev < BA_TOL_BITS:
             prev = objective

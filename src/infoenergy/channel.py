@@ -2,8 +2,7 @@
 
 Alphabet symbols are real signal levels, so cost and received-energy
 functions can be stored as per-symbol lookup tables and arbitrary c(.) / b(.)
-are supported.  Every container is immutable after construction and safe to
-share across parallel sweep workers.
+are supported.  Every container is immutable after construction.
 """
 
 from __future__ import annotations
@@ -276,7 +275,10 @@ def load_channel_file(path):
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in val
         ):
             raise ChannelFormatError(f"{path}: {what} must be a nonempty list of numbers")
-        return [float(v) for v in val]
+        vals = [float(v) for v in val]
+        if not np.isfinite(vals).all():
+            raise ChannelFormatError(f"{path}: {what} holds a non-finite number")
+        return vals
 
     raw_inputs = doc["input_alphabets"]
     if not isinstance(raw_inputs, list) or len(raw_inputs) not in (1, 2):

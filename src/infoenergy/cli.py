@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -53,6 +52,26 @@ def _fmt(x) -> str:
     return format(float(x), ".6g")
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -71,33 +90,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, *names):
         if "P" in names:
-            p.add_argument("--P", type=float, default=1.0, help="per-sender power budget")
+            p.add_argument("--P", type=_finite, default=1.0, help="per-sender power budget")
         if "P1" in names:
-            p.add_argument("--P1", type=float, default=4.0, help="first cost budget")
+            p.add_argument("--P1", type=_finite, default=4.0, help="first cost budget")
         if "P2" in names:
-            p.add_argument("--P2", type=float, default=0.0, help="second cost budget")
+            p.add_argument("--P2", type=_finite, default=0.0, help="second cost budget")
         if "b" in names:
-            p.add_argument("--b-min", type=float, default=0.0, help="energy target range start")
-            p.add_argument("--b-max", type=float, default=None, help="energy target range end")
+            p.add_argument("--b-min", type=_finite, default=0.0, help="energy target range start")
+            p.add_argument("--b-max", type=_finite, default=None, help="energy target range end")
         if "snr" in names:
-            p.add_argument("--snr-min", type=float, default=-20.0)
-            p.add_argument("--snr-max", type=float, default=60.0)
+            p.add_argument("--snr-min", type=_finite, default=-20.0)
+            p.add_argument("--snr-max", type=_finite, default=60.0)
         if "steps" in names:
             p.add_argument("--steps", type=int, default=51, help="grid points in the sweep")
         if "q" in names:
             p.add_argument("--q-size", type=int, default=4, choices=range(1, 6),
                            help="time-sharing alphabet size")
         if "sim" in names:
-            p.add_argument("--n", type=int, default=1000, help="blocklength")
-            p.add_argument("--trials", type=int, default=200)
+            p.add_argument("--n", type=_positive, default=1000, help="blocklength")
+            p.add_argument("--trials", type=_positive, default=200)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--eps", type=float, default=None,
+            p.add_argument("--eps", type=_finite, default=None,
                            help="energy slack (default 0.05*B)")
         if "channel" in names:
             p.add_argument("--channel", action="append", default=None,
                            help="channel specification file (repeat for two hops)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("gaussian-mac", help="sum rate vs energy floor, Gaussian two-sender")
     common(p, "P", "b", "steps")
@@ -133,7 +151,7 @@ def _load_single_mac(paths):
 def _cmd_gaussian_mac(args):
     b_max = args.b_max if args.b_max is not None else 4.0 * args.P + 1.0
     cfg = RunConfig(args.b_min, b_max, args.steps)
-    rows = gaussian_mac_sweep([args.P], cfg.grid(), threads=args.threads)
+    rows = gaussian_mac_sweep([args.P], cfg.grid())
     lines = ["P,B,R_timeshare,lambda,P_prime,P_dprime,R_no_ts,feasible"]
     for r in rows:
         lines.append(",".join(_fmt(v) for v in (
@@ -148,8 +166,7 @@ def _cmd_mac_region(args):
     b_max = args.b_max if args.b_max is not None else 0.0
     cfg = RunConfig(args.b_min, b_max, args.steps)
     prob = MacProblem(ch, costs[0], costs[1], energy, args.P1, args.P2)
-    rows = mac_region_sweep(prob, cfg.grid(), REGION_WEIGHTS,
-                            q_size=args.q_size, threads=args.threads)
+    rows = mac_region_sweep(prob, cfg.grid(), REGION_WEIGHTS, q_size=args.q_size)
     lines = ["B,w1,w2,R1,R2,EbY,feasible"]
     for r in rows:
         lines.append(",".join(_fmt(v) for v in (
@@ -174,19 +191,13 @@ def _cmd_mhc(args):
         "relay_pmf": ([float(v) for v in sol.relay_pmf.probs]
                       if sol.relay_pmf is not None else None),
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit([json.dumps(doc, indent=2)], args.out)
     return 0
 
 
 def _cmd_mhc_example(args):
     cfg = RunConfig(args.snr_min, args.snr_max, args.steps)
-    rows = relay_snr_sweep(args.P1, args.P2, cfg.grid(),
-                           snr_log10=args.snr_log10, threads=args.threads)
+    rows = relay_snr_sweep(args.P1, args.P2, cfg.grid(), snr_log10=args.snr_log10)
     lines = ["snr,N0,capacity_bits,p_star"]
     for r in rows:
         lines.append(",".join(_fmt(v) for v in (r.snr, r.n0, r.capacity_bits, r.p_star)))

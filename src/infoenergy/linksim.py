@@ -162,7 +162,8 @@ def generate_codebook(policy, n: int, rate: float, *, alphabet: Alphabet | None 
         for m in range(messages):
             got = _block_cost(words[m], cost,
                               indices[m] if indices is not None else None)
-            assert got <= budget + COST_SLACK, "cost screening failed"
+            if not got <= budget + COST_SLACK:
+                raise RuntimeError(f"codeword {m}: cost screening failed")
     return Codebook(n, words, messages, q_seq, indices)
 
 

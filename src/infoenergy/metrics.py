@@ -80,20 +80,26 @@ class TimeSharingPolicy:
         return cls(Pmf([1.0]), ((p1, p2),))
 
 
-def _per_q_informations(p1: np.ndarray, p2: np.ndarray, W: np.ndarray):
-    """(I(X1;Y|X2), I(X2;Y|X1), I(X1,X2;Y), output pmf) for one q."""
-    h_rows = entropy_bits(W)  # (n1, n2)
-    h_y_given_both = float(p1 @ h_rows @ p2)
+def _vary_first_input(V: np.ndarray, p_other: np.ndarray, W: np.ndarray,
+                      h_rows: np.ndarray):
+    """Per-q informations for candidate pmfs V on axis 0 of W, the other input fixed.
 
-    out = np.einsum("i,j,ijy->y", p1, p2, W)
-    i_sum = float(entropy_bits(out)) - h_y_given_both
+    Returns (i_self, i_sum, i_other, out): length-N arrays, where i_self
+    conditions on the fixed sender and i_other vice versa, and the (N, ny)
+    output pmfs.
+    """
+    hv = h_rows @ p_other  # (n_self,) mean row entropy given self symbol
+    wbar = np.einsum("j,ijy->iy", p_other, W)  # (n_self, ny)
+    out = V @ wbar  # (N, ny)
+    h_cond = V @ hv  # (N,)
 
-    # Condition on each value of the other sender and average.
-    out_given_x2 = np.einsum("i,ijy->jy", p1, W)  # (n2, ny)
-    i1 = float(p2 @ (entropy_bits(out_given_x2) - p1 @ h_rows))
-    out_given_x1 = np.einsum("j,ijy->iy", p2, W)  # (n1, ny)
-    i2 = float(p1 @ (entropy_bits(out_given_x1) - h_rows @ p2))
-    return max(i1, 0.0), max(i2, 0.0), max(i_sum, 0.0), out
+    i_self = -h_cond.copy()
+    for j, pj in enumerate(p_other):
+        if pj > 0:
+            i_self += pj * entropy_bits(V @ W[:, j, :])
+    i_sum = entropy_bits(out) - h_cond
+    i_other = V @ (entropy_bits(wbar) - hv)
+    return i_self, i_sum, i_other, out
 
 
 def mac_mutual_informations(pol: TimeSharingPolicy, ch: DmChannel, b: EnergyFn):
@@ -111,13 +117,15 @@ def mac_mutual_informations(pol: TimeSharingPolicy, ch: DmChannel, b: EnergyFn):
     if len(b) != ny:
         raise AlphabetMismatchError("energy table does not match output alphabet")
 
+    W = ch.transition
+    h_rows = entropy_bits(W)
     i1 = i2 = i_sum = 0.0
     out_mix = np.zeros(ny)
     for pq, (p1, p2) in zip(pol.q_pmf.probs, pol.inputs):
-        c1, c2, cs, out = _per_q_informations(p1.probs, p2.probs, ch.transition)
-        i1 += pq * c1
-        i2 += pq * c2
-        i_sum += pq * cs
-        out_mix += pq * out
+        c1, cs, c2, out = _vary_first_input(p1.probs[None, :], p2.probs, W, h_rows)
+        i1 += pq * max(float(c1[0]), 0.0)
+        i2 += pq * max(float(c2[0]), 0.0)
+        i_sum += pq * max(float(cs[0]), 0.0)
+        out_mix += pq * out[0]
     eby = float(out_mix @ b.values)
     return float(i1), float(i2), float(i_sum), eby

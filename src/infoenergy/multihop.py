@@ -5,11 +5,11 @@ the second-hop capacity, where the relay's transmit budget is its own supply
 plus the mean energy it harvests from the first hop.  The outer input
 distribution is searched on a refined simplex grid; the inner problem is the
 cost-constrained capacity solver (discrete hop) or the closed Gaussian form.
+The four-level worked example is solved exactly as a scalar max-min.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .capacity import awgn_capacity, dm_capacity_with_cost
 from .channel import (AwgnSpec, CostFn, DmChannel, EnergyFn, InfeasibleError,
                       Pmf)
-from .mac_region import simplex_grid
+from .mac_region import _ladder_candidates, simplex_grid
 from .metrics import entropy_bits
 
 FEAS_TOL = 1e-9
@@ -138,22 +138,9 @@ def mhc_capacity(prob: MhcProblem, spec: MhcGridSpec | None = None) -> MhcSoluti
     n1 = W1.shape[0]
     grid = simplex_grid(n1, spec.steps)
     incumbent = None
-    # A ladder of blend scales per pass keeps the simplex boundary reachable;
-    # a pure geometric shrink could only creep toward low-mass optima.
-    stage_scales = [[1.0]] + [
-        [spec.refine_factor ** -(i + 1) * m for m in (4.0, 2.0, 1.0)]
-        for i in range(spec.refine_passes)
-    ]
-    for scales in stage_scales:
-        if incumbent is None:
-            cands = grid
-        else:
-            parts = [incumbent[1][None, :]]
-            for s in scales:
-                s = min(s, 1.0)
-                parts.append(incumbent[1][None, :] * (1 - s) + grid * s)
-            cands = np.vstack(parts)
-        found = stage_best(cands)
+    for stage in range(spec.refine_passes + 1):
+        center = incumbent[1] if incumbent is not None else None
+        found = stage_best(_ladder_candidates(grid, center, stage, spec.refine_factor))
         if found is not None and (incumbent is None or found[0] > incumbent[0]):
             incumbent = found
     if incumbent is None:
@@ -232,39 +219,44 @@ def symmetric_input_entropy(p) -> np.ndarray:
     return t1 + t2
 
 
-def mhc_example_capacity(p1_budget: float, p2_budget: float, n0: float,
-                         p_steps: int = 256, refine_passes: int = 1):
-    """Scalar max-min over the symmetric parameter p in [0, 1/2].
+def mhc_example_capacity(p1_budget: float, p2_budget: float, n0: float):
+    """Exact max-min over the symmetric parameter p in [0, 1/2].
 
-    Maximizes min(entropy of the four-level input, Gaussian hop capacity at
-    power P2 + 6p + 1) subject to the hop-1 cost 6p+1 <= P1, on a grid with
-    one zoomed refinement pass.  Returns (capacity bits, maximizing p); ties
-    within 1e-6 bits resolve to the smallest p.
+    Maximizes min(entropy H4(p) of the four-level input, Gaussian hop
+    capacity at power P2 + 6p + 1) subject to the hop-1 cost 6p+1 <= P1.
+    H4 peaks at p = 1/4 and the capacity strictly increases, so the unique
+    maximizer is the peak min(1/4, p_max) if the capacity there covers H4,
+    else p_max if H4 there covers the capacity, else the crossing, found by
+    bisection.  Returns (capacity bits, maximizing p).
     """
     if n0 <= 0:
         raise ValueError("noise variance must be positive")
     if p1_budget < 1.0 - 1e-12:
         raise InfeasibleError("hop-1 budget below the minimum mean cost 6p+1 >= 1")
-    p_max = min(0.5, (p1_budget - 1.0) / 6.0)
+    p_max = min(0.5, max(float(p1_budget) - 1.0, 0.0) / 6.0)
 
-    def objective(ps):
-        second = awgn_capacity_vec(p2_budget + 6.0 * ps + 1.0, n0)
-        return np.minimum(symmetric_input_entropy(ps), second)
+    def terms(ps):
+        return symmetric_input_entropy(ps), awgn_capacity_vec(p2_budget + 6.0 * ps + 1.0, n0)
 
-    lo, hi = 0.0, p_max
-    best_val = -np.inf
-    best_p = p_max
-    for _ in range(refine_passes + 1):
-        ps = np.linspace(lo, hi, p_steps + 1)
-        vals = objective(ps)
-        top = float(vals.max())
-        p_star = float(ps[vals >= top - 1e-6].min())
-        if top > best_val + 1e-6 or (top >= best_val - 1e-6 and p_star < best_p):
-            best_val, best_p = top, p_star
-        pitch = (hi - lo) / max(p_steps, 1)
-        lo = max(0.0, best_p - pitch)
-        hi = min(p_max, best_p + pitch)
-    return float(objective(np.array([best_p]))[0]), best_p
+    def gap(p):
+        """H4(p) minus the hop capacity, on scalars strictly inside (0, 1/2)."""
+        return (-2.0 * p * np.log2(p) - (1.0 - 2.0 * p) * np.log2(0.5 - p)
+                - 0.5 * np.log2(1.0 + (p2_budget + 6.0 * p + 1.0) / n0))
+
+    p_peak = min(0.25, p_max)
+    h, g = terms(np.array([p_peak, p_max]))
+    if g[0] >= h[0]:
+        p_star = p_peak
+    elif h[1] >= g[1]:
+        p_star = p_max
+    else:
+        lo, hi = p_peak, p_max  # the gap falls strictly from > 0 to < 0
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+        p_star = lo
+    h, g = terms(np.array([p_star]))
+    return float(min(h[0], g[0])), p_star
 
 
 @dataclass
@@ -276,8 +268,7 @@ class SnrSweepRow:
 
 
 def relay_snr_sweep(p1_budget: float, p2_budget: float, snr_grid,
-                    p_steps: int = 256, snr_log10: bool = False,
-                    threads: int = 1):
+                    snr_log10: bool = False):
     """Example capacity and optimal p across an SNR grid.
 
     SNR maps to noise power as N0 = 2**(-snr/10); pass snr_log10=True for the
@@ -287,15 +278,12 @@ def relay_snr_sweep(p1_budget: float, p2_budget: float, snr_grid,
     if sorted(snr_grid) != snr_grid:
         raise ValueError("SNR grid must be sorted ascending")
 
-    def solve(snr):
+    rows = []
+    for snr in snr_grid:
         n0 = 10.0 ** (-snr / 10.0) if snr_log10 else 2.0 ** (-snr / 10.0)
-        cap, p_star = mhc_example_capacity(p1_budget, p2_budget, n0, p_steps)
-        return SnrSweepRow(snr, n0, cap, p_star)
-
-    if threads > 1 and len(snr_grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, snr_grid))
-    return [solve(s) for s in snr_grid]
+        cap, p_star = mhc_example_capacity(p1_budget, p2_budget, n0)
+        rows.append(SnrSweepRow(snr, n0, cap, p_star))
+    return rows
 
 
 def example_problem(p1_budget: float, p2_budget: float, n0: float,

@@ -70,6 +70,18 @@ class TestDmCapacityWithCost:
             its = res.iterates
             assert all(b >= a - 1e-10 for a, b in zip(its, its[1:]))
 
+    def test_decreasing_iterate_raises(self, monkeypatch):
+        # The monotonicity certificate is an explicit check, not an assert,
+        # so it also holds under python -O.
+        from infoenergy import capacity
+
+        shift = iter(range(10_000))
+        real = capacity._divergence_rows
+        monkeypatch.setattr(capacity, "_divergence_rows",
+                            lambda W, q: real(W, q) - next(shift))
+        with pytest.raises(RuntimeError, match="decreased"):
+            ie.dm_capacity_with_cost(make_bsc(0.11))
+
     def test_constraint_active_or_interior(self):
         rng = np.random.default_rng(22)
         for _ in range(10):

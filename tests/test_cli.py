@@ -54,6 +54,13 @@ class TestGaussianMacCommand:
         outp = capsys.readouterr().out
         assert outp.startswith("P,B,")
 
+    def test_non_finite_power_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run(["gaussian-mac", "--P", "nan", "--out", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_range(self, tmp_path):
         rc = run(["gaussian-mac", "--P", "1", "--b-min", "5", "--b-max", "0",
                   "--steps", "3", "--out", str(tmp_path / "x.csv")])
@@ -77,6 +84,19 @@ class TestMacRegionCommand:
         rates = [float(r[3]) + float(r[4]) for r in sum_rows]
         assert rates[0] == pytest.approx(1.5, abs=1e-5)
         assert rates[-1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_nan_energy_file_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        write_adder_file(path)
+        doc = json.loads(path.read_text())
+        doc["energy"][1] = float("nan")
+        path.write_text(json.dumps(doc))  # written as the JSON token NaN
+        out = tmp_path / "region.csv"
+        rc = run(["mac-region", "--channel", str(path), "--b-min", "0",
+                  "--b-max", "1", "--steps", "2", "--out", str(out)])
+        assert rc == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_p2p_file_rejected(self, tmp_path):
         ch_path = write_bsc_file(tmp_path / "bsc.json")
@@ -132,6 +152,13 @@ class TestMhcExampleCommand:
 
 
 class TestSimulateCommands:
+    def test_zero_trials_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        rc = run(["simulate-mac", "--P", "1", "--trials", "0", "--out", str(out)])
+        assert rc == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_mac_gaussian(self, tmp_path):
         out = tmp_path / "sim.csv"
         rc = run(["simulate-mac", "--P", "1", "--n", "500", "--trials", "50",

@@ -126,14 +126,6 @@ class TestMacRegionSweep:
         rf = ie.mac_boundary_point(free, 1.0, 1.0, q_size=2)
         assert r0.weighted_rate == pytest.approx(rf.weighted_rate, abs=1e-9)
 
-    def test_threads_match_serial(self):
-        prob = make_adder_problem()
-        grid = [0.0, 1.5]
-        serial = ie.mac_region_sweep(prob, grid, [(1, 1)], q_size=2, threads=1)
-        parallel = ie.mac_region_sweep(prob, grid, [(1, 1)], q_size=2, threads=4)
-        for a, b in zip(serial, parallel):
-            assert a == b
-
 
 class TestBruteForceOracle:
     def test_degenerate_channel(self):
@@ -220,6 +212,21 @@ class TestGaussianMac:
             want = dense_gaussian_oracle(1.0, b_target)
             assert 0.0 < sol.r_sum < EQ6_P1
             assert sol.r_sum == pytest.approx(want, abs=1e-3)
+
+    def test_policy_attains_floor_within_stated_gap(self):
+        """The returned policy meets B and P exactly and sits within
+        1e-6 * 0.5*log2(1+2P) bits below the closed form 0.5*log2(4P+2-B)."""
+        for power in (0.5, 1.0, 2.0):
+            for b_target in (2 * power + 1.2, 3 * power + 1, 4 * power + 0.9):
+                sol = ie.gaussian_mac_timeshare(power, b_target)
+                lam = sol.lam
+                energy = lam * (2 * sol.p_prime + 1) + (1 - lam) * (4 * sol.p_dprime + 1)
+                spend = lam * sol.p_prime + (1 - lam) * sol.p_dprime
+                assert energy == pytest.approx(b_target, abs=1e-9)
+                assert spend == pytest.approx(power, abs=1e-9)
+                closed = 0.5 * np.log2(4 * power + 2 - b_target)
+                slack = 1e-6 * ie.gaussian_unconstrained_sum_rate(power)
+                assert closed - slack <= sol.r_sum <= closed
 
     def test_solution_respects_power_budget(self):
         for b_target in (3.2, 4.4, 4.9):
