@@ -71,8 +71,8 @@ class Pmf:
         arr = np.array(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("pmf must be a nonempty 1-D vector")
-        if np.any(arr < 0):
-            raise ValueError("pmf entries must be nonnegative")
+        if not (np.isfinite(arr) & (arr >= 0)).all():
+            raise ValueError("pmf entries must be finite and nonnegative")
         total = arr.sum()
         if abs(total - 1.0) > PMF_TOL:
             raise ValueError(f"pmf entries sum to {total!r}, not 1")
@@ -104,8 +104,8 @@ class CostFn:
         arr = _frozen(self.values)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("cost table must be a nonempty 1-D vector")
-        if np.any(arr < 0):
-            raise ValueError("costs must be nonnegative")
+        if not (np.isfinite(arr) & (arr >= 0)).all():
+            raise ValueError("costs must be finite and nonnegative")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -126,8 +126,8 @@ class EnergyFn:
         arr = _frozen(self.values)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("energy table must be a nonempty 1-D vector")
-        if np.any(arr < 0):
-            raise ValueError("energies must be nonnegative")
+        if not (np.isfinite(arr) & (arr >= 0)).all():
+            raise ValueError("energies must be finite and nonnegative")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:

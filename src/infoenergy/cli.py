@@ -24,6 +24,8 @@ from .mac_region import (MacProblem, gaussian_mac_sweep, mac_region_sweep)
 from .multihop import MhcProblem, mhc_capacity, relay_snr_sweep
 
 REGION_WEIGHTS = ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+# Largest --steps a sweep accepts; the README's sweeps use at most 81.
+MAX_STEPS = 10_000
 
 
 @dataclass
@@ -37,8 +39,8 @@ class RunConfig:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"range minimum {self.lo} exceeds maximum {self.hi}")
-        if self.steps < 2:
-            raise ValueError("sweeps need --steps >= 2")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"sweeps need 2 <= --steps <= {MAX_STEPS}, got {self.steps}")
 
     def grid(self):
         return np.linspace(self.lo, self.hi, self.steps)
@@ -102,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--snr-min", type=_finite, default=-20.0)
             p.add_argument("--snr-max", type=_finite, default=60.0)
         if "steps" in names:
-            p.add_argument("--steps", type=int, default=51, help="grid points in the sweep")
+            p.add_argument("--steps", type=int, default=51,
+                           help=f"grid points in the sweep (2 to {MAX_STEPS})")
         if "q" in names:
             p.add_argument("--q-size", type=int, default=4, choices=range(1, 6),
                            help="time-sharing alphabet size")

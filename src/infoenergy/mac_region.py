@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -30,6 +30,10 @@ REFINE_PASSES = 2
 RESTARTS = 8
 MAX_SWEEPS = 50
 RNG_SEED = 0
+
+# Rows per stat block of a product-pmf scan or of the oracle.  Below the
+# largest ascent block (8,779 rows, 3-symbol stage 1): no new peak memory.
+_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -127,13 +131,16 @@ def _ladder_candidates(grid: np.ndarray, center, stage: int, factor: int) -> np.
     if center is None:
         return grid
     scales = [1.0] if stage == 0 else [factor ** -stage * m for m in (4.0, 2.0, 1.0)]
-    parts = [center[None, :]]
-    for s in scales:
+    n = grid.shape[0]
+    out = np.empty((1 + n * len(scales), grid.shape[1]))
+    out[0] = center
+    for k, s in enumerate(scales):
         s = min(s, 1.0)
-        parts.append(grid if s >= 1.0 else center[None, :] * (1.0 - s) + grid * s)
-    return np.vstack(parts)
+        out[1 + k * n:1 + (k + 1) * n] = grid if s >= 1.0 else center * (1.0 - s) + grid * s
+    return out
 
 
+@lru_cache(maxsize=None)
 def _steps_for(dim: int, budget: int) -> int:
     """Largest steps such that the simplex grid stays within the row budget."""
     steps = 2
@@ -213,17 +220,20 @@ class _Instance:
 
 
 def _block_stats(inst: _Instance, which: int, V: np.ndarray, p_fixed: np.ndarray):
-    """Stat matrix (N, 6) for varying input `which` (0 or 1) at one q."""
-    out = np.empty((V.shape[0], 6))
+    """Stat matrix (N, 6) for varying input `which` (0 or 1) at one q.
+
+    A stack p_fixed of shape (J, n) gives (J, N, 6), one matrix per pmf.
+    """
     if which == 0:
         i1, i_sum, i2, pmfs = _vary_first_input(V, p_fixed, inst.W, inst.h_rows)
-        ec1, ec2 = V @ inst.c1, float(p_fixed @ inst.c2)
+        ec1, ec2 = V @ inst.c1, p_fixed[..., None, :] @ inst.c2
     else:
         i2, i_sum, i1, pmfs = _vary_first_input(V, p_fixed, inst.Wt, inst.h_rows.T)
-        ec1, ec2 = float(p_fixed @ inst.c1), V @ inst.c2
-    out[:, 0], out[:, 1], out[:, 2] = i1, i2, i_sum
-    out[:, 3] = pmfs @ inst.b
-    out[:, 4], out[:, 5] = ec1, ec2
+        ec1, ec2 = p_fixed[..., None, :] @ inst.c1, V @ inst.c2
+    out = np.empty(i1.shape + (6,))
+    out[..., 0], out[..., 1], out[..., 2] = i1, i2, i_sum
+    out[..., 3] = pmfs @ inst.b
+    out[..., 4], out[..., 5] = ec1, ec2
     return out
 
 
@@ -236,11 +246,16 @@ def _corner_rates(i1, i2, i_sum, w1: float, w2: float):
     return np.maximum(val_a, val_b)
 
 
+def _violation(stats: np.ndarray, prob: MacProblem):
+    """Total constraint violation of each stat row."""
+    return (np.maximum(stats[..., 4] - prob.p1_budget, 0.0)
+            + np.maximum(stats[..., 5] - prob.p2_budget, 0.0)
+            + np.maximum(prob.b_target - stats[..., 3], 0.0))
+
+
 def _score_block(stats: np.ndarray, prob: MacProblem, w1: float, w2: float):
     """Best candidate index and its (feasible, value) score for a stat matrix."""
-    viol = (np.maximum(stats[:, 4] - prob.p1_budget, 0.0)
-            + np.maximum(stats[:, 5] - prob.p2_budget, 0.0)
-            + np.maximum(prob.b_target - stats[:, 3], 0.0))
+    viol = _violation(stats, prob)
     feas = viol <= FEAS_TOL
     if feas.any():
         vals = _corner_rates(stats[:, 0], stats[:, 1], stats[:, 2], w1, w2)
@@ -335,23 +350,35 @@ def _product_scan(inst: _Instance, prob, w1, w2, mus, budget: int):
     seed_score = (-1, -np.inf)
     tilted = [None] * len(mus)
     tilted_val = [-np.inf] * len(mus)
-    for j in range(g2.shape[0]):
-        stats = _block_stats(inst, 0, g1, g2[j])
-        idx, score = _score_block(stats, prob, w1, w2)
-        if _better(score, seed_score):
-            seed_score = score
-            seed = (g1[idx], g2[j])
-        ok = ((stats[:, 4] <= prob.p1_budget + FEAS_TOL)
-              & (stats[:, 5] <= prob.p2_budget + FEAS_TOL))
-        if not ok.any():
-            continue
-        rates = _corner_rates(stats[:, 0], stats[:, 1], stats[:, 2], w1, w2)
-        for m, mu in enumerate(mus):
-            vals = np.where(ok, rates + mu * stats[:, 3], -np.inf)
-            idx = int(np.argmax(vals))
-            if vals[idx] > tilted_val[m]:
-                tilted_val[m] = float(vals[idx])
-                tilted[m] = (g1[idx], g2[j], stats[idx].copy())
+    chunk = max(1, _CHUNK_ROWS // g1.shape[0])
+    for j0 in range(0, g2.shape[0], chunk):
+        # Each grid column is still scored as a block of its own (row-wise
+        # argmax); the columns are then compared in order as scalars, so
+        # ties resolve as in a column-by-column pass.
+        stats = _block_stats(inst, 0, g1, g2[j0:j0 + chunk])  # (J, N, 6)
+        viol = _violation(stats, prob)
+        feas = viol <= FEAS_TOL
+        rates = _corner_rates(stats[..., 0], stats[..., 1], stats[..., 2], w1, w2)
+        seed_idx = np.where(feas.any(axis=1),
+                            np.argmax(np.where(feas, rates, -np.inf), axis=1),
+                            np.argmin(viol, axis=1))
+        ok = ((stats[..., 4] <= prob.p1_budget + FEAS_TOL)
+              & (stats[..., 5] <= prob.p2_budget + FEAS_TOL))
+        picks = []
+        for mu in mus:
+            vals = np.where(ok, rates + mu * stats[..., 3], -np.inf)
+            picks.append((vals.argmax(axis=1), vals.max(axis=1)))
+        for c in range(stats.shape[0]):
+            idx = seed_idx[c]
+            score = ((1, float(rates[c, idx])) if feas[c, idx]
+                     else (0, -float(viol[c, idx])))
+            if _better(score, seed_score):
+                seed_score = score
+                seed = (g1[idx], g2[j0 + c])
+            for m, (idx, best) in enumerate(picks):
+                if best[c] > tilted_val[m]:
+                    tilted_val[m] = float(best[c])
+                    tilted[m] = (g1[idx[c]], g2[j0 + c], stats[c, idx[c]].copy())
     return seed, tilted
 
 
@@ -503,37 +530,38 @@ def brute_force_mac_oracle(prob: MacProblem, w1: float, w2: float,
     if outer > 2_000_000:
         raise ValueError(f"enumeration of {outer} policies exceeds the size guard")
 
-    # Stat table for every product pair, vectorized over the p1 grid.
-    T = np.empty((g1.shape[0], g2.shape[0], 6))
-    for j in range(g2.shape[0]):
-        T[:, j, :] = _block_stats(inst, 0, g1, g2[j])
-    T = T.reshape(n_pairs, 6)
+    # Stat table for every product pair, p1 grid index major.
+    T = _block_stats(inst, 0, g1, g2).transpose(1, 0, 2).reshape(n_pairs, 6)
 
+    # Heads (the pairs of the first q_size-1 components) run in lexicographic
+    # order, a chunk at a time; each head's best last pair is then accepted
+    # in that order by the strict rule below.
+    n_heads = n_pairs ** (q_size - 1)
+    chunk = max(1, _CHUNK_ROWS // n_pairs)
     best_val = -np.inf
     best = None
     for wq in gq:
-        if q_size == 1:
-            chunks = [(np.zeros(6), ())]
-        else:
-            chunks = []
-            for head in product(range(n_pairs), repeat=q_size - 1):
-                partial = np.zeros(6)
-                for m, idx in enumerate(head):
-                    partial = partial + wq[m] * T[idx]
-                chunks.append((partial, head))
-        for partial, head in chunks:
-            tot = partial[None, :] + wq[-1] * T
-            feas = ((tot[:, 4] <= prob.p1_budget + FEAS_TOL)
-                    & (tot[:, 5] <= prob.p2_budget + FEAS_TOL)
-                    & (tot[:, 3] >= prob.b_target - FEAS_TOL))
-            if not feas.any():
-                continue
-            vals = _corner_rates(tot[:, 0], tot[:, 1], tot[:, 2], w1, w2)
+        last = wq[-1] * T
+        for h0 in range(0, n_heads, chunk):
+            flat = np.arange(h0, min(h0 + chunk, n_heads))
+            heads = []
+            partial = np.zeros((flat.size, 6))
+            for m in range(q_size - 1):
+                heads.append(flat // n_pairs ** (q_size - 2 - m) % n_pairs)
+                partial = partial + wq[m] * T[heads[m]]
+            tot = partial[:, None, :] + last
+            feas = ((tot[..., 4] <= prob.p1_budget + FEAS_TOL)
+                    & (tot[..., 5] <= prob.p2_budget + FEAS_TOL)
+                    & (tot[..., 3] >= prob.b_target - FEAS_TOL))
+            vals = _corner_rates(tot[..., 0], tot[..., 1], tot[..., 2], w1, w2)
             vals = np.where(feas, vals, -np.inf)
-            idx = int(np.argmax(vals))
-            if vals[idx] > best_val + 1e-15:
-                best_val = float(vals[idx])
-                best = (wq.copy(), head + (idx,))
+            idx = np.argmax(vals, axis=1)
+            top = vals[np.arange(flat.size), idx]
+            # best_val only grows, so a head that cannot beat it now never will.
+            for k in np.flatnonzero(top > best_val + 1e-15):
+                if top[k] > best_val + 1e-15:
+                    best_val = float(top[k])
+                    best = (wq.copy(), tuple(int(h[k]) for h in heads) + (int(idx[k]),))
 
     if best is None:
         return MacBoundaryResult(False, reason="no feasible gridded policy")

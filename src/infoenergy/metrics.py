@@ -20,9 +20,14 @@ def _probs(p) -> np.ndarray:
 def entropy_bits(probs: np.ndarray) -> np.ndarray:
     """Row-wise entropy of an array whose last axis holds probabilities."""
     p = np.asarray(probs, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log2(p), 0.0)
-    return -terms.sum(axis=-1)
+    terms = p * np.log2(np.where(p > 0, p, 1.0))
+    if not 0 < terms.shape[-1] < 8:
+        return -terms.sum(axis=-1)
+    # Below 8 entries numpy's sum adds left to right: the same bits, cheaper.
+    acc = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        acc = acc + terms[..., k]
+    return -acc
 
 
 def entropy(p) -> float:
@@ -84,21 +89,25 @@ def _vary_first_input(V: np.ndarray, p_other: np.ndarray, W: np.ndarray,
                       h_rows: np.ndarray):
     """Per-q informations for candidate pmfs V on axis 0 of W, the other input fixed.
 
-    Returns (i_self, i_sum, i_other, out): length-N arrays, where i_self
-    conditions on the fixed sender and i_other vice versa, and the (N, ny)
-    output pmfs.
+    p_other is one pmf or a stack (J, n_other); a stack adds a leading J axis
+    to every result.  Returns (i_self, i_sum, i_other, out): length-N arrays,
+    where i_self conditions on the fixed sender and i_other vice versa, and
+    the (N, ny) output pmfs.  Each stack entry gets the bits of a call with
+    that pmf alone: the matmuls make one BLAS call per entry.
     """
-    hv = h_rows @ p_other  # (n_self,) mean row entropy given self symbol
-    wbar = np.einsum("j,ijy->iy", p_other, W)  # (n_self, ny)
-    out = V @ wbar  # (N, ny)
-    h_cond = V @ hv  # (N,)
+    hv = np.matmul(h_rows, p_other[..., None])[..., 0]  # mean row entropy per self symbol
+    wbar = np.einsum("...j,ijy->...iy", p_other, W)  # (..., n_self, ny)
+    out = V @ wbar  # (..., N, ny)
+    h_cond = (V @ hv[..., None])[..., 0]  # (..., N)
 
-    i_self = -h_cond.copy()
-    for j, pj in enumerate(p_other):
-        if pj > 0:
-            i_self += pj * entropy_bits(V @ W[:, j, :])
+    i_self = -h_cond
+    for j in range(p_other.shape[-1]):
+        pj = p_other[..., j, None]
+        live = pj > 0
+        if live.any():
+            np.add(i_self, pj * entropy_bits(V @ W[:, j, :]), out=i_self, where=live)
     i_sum = entropy_bits(out) - h_cond
-    i_other = V @ (entropy_bits(wbar) - hv)
+    i_other = (V @ (entropy_bits(wbar) - hv)[..., None])[..., 0]
     return i_self, i_sum, i_other, out
 
 

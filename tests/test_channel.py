@@ -32,6 +32,21 @@ class TestConstructors:
                 ie.Alphabet([0.0, 1.0]), ie.Alphabet([0.0, 1.0]),
                 [[0.7, 0.2], [0.5, 0.5]])
 
+    def test_pmf_rejects_non_finite(self):
+        for bad in ([np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                ie.Pmf(bad)
+
+    def test_cost_rejects_non_finite(self):
+        for bad in ([np.nan, 0.0], [0.0, np.inf], [-np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                ie.CostFn(bad)
+
+    def test_energy_rejects_non_finite(self):
+        for bad in ([np.nan, 0.0], [0.0, np.inf], [-np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                ie.EnergyFn(bad)
+
     def test_cost_energy_reject_negative(self):
         with pytest.raises(ValueError):
             ie.CostFn([1.0, -0.5])

@@ -61,6 +61,13 @@ class TestGaussianMacCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_steps_above_cap_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run(["gaussian-mac", "--steps", "10001", "--out", str(out)])
+        assert rc == 2
+        assert "--steps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_range(self, tmp_path):
         rc = run(["gaussian-mac", "--P", "1", "--b-min", "5", "--b-max", "0",
                   "--steps", "3", "--out", str(tmp_path / "x.csv")])

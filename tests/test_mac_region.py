@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from itertools import product
+
 import infoenergy as ie
 from conftest import make_adder_problem, make_random_mac_instance
+from infoenergy import mac_region as mr
+from infoenergy.metrics import entropy_bits
 
 EQ6_P1 = 0.5 * np.log2(3.0)  # unconstrained sum rate at P = 1
 
@@ -148,12 +152,129 @@ class TestBruteForceOracle:
         assert v4.weighted_rate >= v1.weighted_rate - 1e-12
         assert v4.weighted_rate - v1.weighted_rate < 1e-9
 
+    @pytest.mark.parametrize("q_size,steps", [(1, 11), (2, 6), (3, 4)])
+    def test_matches_head_by_head_enumeration(self, q_size, steps):
+        # Reference: every head on its own, in itertools order, accepted by
+        # the same strict rule; the chunked oracle must pick the same policy.
+        prob = make_ternary_cost_problem(1.2)
+        inst = mr._Instance(prob)
+        g1, g2 = mr.simplex_grid(3, steps), mr.simplex_grid(2, steps)
+        T = np.stack([column_stats(inst, g1, p2) for p2 in g2], axis=1).reshape(-1, 6)
+        best_val, best = -np.inf, None
+        for wq in mr.simplex_grid(q_size, steps):
+            for head in product(range(len(T)), repeat=q_size - 1):
+                partial = np.zeros(6)
+                for m, idx in enumerate(head):
+                    partial = partial + wq[m] * T[idx]
+                tot = partial[None, :] + wq[-1] * T
+                feas = ((tot[:, 4] <= prob.p1_budget + mr.FEAS_TOL)
+                        & (tot[:, 5] <= prob.p2_budget + mr.FEAS_TOL)
+                        & (tot[:, 3] >= prob.b_target - mr.FEAS_TOL))
+                vals = np.where(feas, mr._corner_rates(*tot[:, :3].T, 1.0, 0.5), -np.inf)
+                idx = int(np.argmax(vals))
+                if vals[idx] > best_val + 1e-15:
+                    best_val, best = float(vals[idx]), (wq, head + (idx,))
+        wq, assignment = best
+        want = mr._result_from_policy(prob, 1.0, 0.5, wq,
+                                      g1[[i // len(g2) for i in assignment]],
+                                      g2[[i % len(g2) for i in assignment]])
+        got = ie.brute_force_mac_oracle(prob, 1.0, 0.5, q_size=q_size, steps=steps)
+        assert got.weighted_rate == want.weighted_rate
+        assert np.array_equal(got.policy.q_pmf.probs, want.policy.q_pmf.probs)
+        for (a1, a2), (b1, b2) in zip(got.policy.inputs, want.policy.inputs):
+            assert np.array_equal(a1.probs, b1.probs) and np.array_equal(a2.probs, b2.probs)
+
     def test_size_guard(self):
         prob = make_adder_problem()
         with pytest.raises(ValueError):
             ie.brute_force_mac_oracle(prob, 1.0, 1.0, q_size=1, steps=22)
         with pytest.raises(ValueError):
             ie.brute_force_mac_oracle(prob, 1.0, 1.0, q_size=4, steps=21)
+
+
+def make_ternary_cost_problem(b_target: float) -> ie.MacProblem:
+    """3-symbol X1, binary X2, noisy adder; both cost budgets bind.
+
+    Y = X1 + X2 w.p. 0.8, else uniform on {0..3}; c1 = x1^2 (P1 = 1),
+    c2 = x2 (P2 = 0.3), b(y) = y.  Emax is 1.34 under the budgets.
+    """
+    W = np.full((3, 2, 4), 0.05)
+    for i in range(3):
+        for j in range(2):
+            W[i, j, i + j] += 0.8
+    ch = ie.DmChannel.mac(ie.Alphabet([0.0, 1.0, 2.0]), ie.Alphabet([0.0, 1.0]),
+                          ie.Alphabet([0.0, 1.0, 2.0, 3.0]), W)
+    return ie.MacProblem(ch, ie.CostFn([0.0, 1.0, 4.0]), ie.CostFn([0.0, 1.0]),
+                         ie.EnergyFn([0.0, 1.0, 2.0, 3.0]), 1.0, 0.3, b_target)
+
+
+def column_stats(inst, V, p):
+    """Stat matrix (N, 6) of one grid column: one BLAS call and one
+    entropy_bits call per term, one column at a time."""
+    hv = inst.h_rows @ p
+    wbar = np.einsum("j,ijy->iy", p, inst.W)
+    out = V @ wbar
+    h_cond = V @ hv
+    i1 = -h_cond.copy()
+    for j, pj in enumerate(p):
+        if pj > 0:
+            i1 += pj * entropy_bits(V @ inst.W[:, j, :])
+    stats = np.empty((V.shape[0], 6))
+    stats[:, 0] = i1
+    stats[:, 1] = V @ (entropy_bits(wbar) - hv)
+    stats[:, 2] = entropy_bits(out) - h_cond
+    stats[:, 3] = out @ inst.b
+    stats[:, 4] = V @ inst.c1
+    stats[:, 5] = p @ inst.c2
+    return stats
+
+
+def per_column_scan(inst, prob, w1, w2, mus, budget):
+    """Reference for mr._product_scan: every g2 column scored on its own."""
+    g1 = mr.simplex_grid(inst.n1, mr._steps_for(inst.n1, budget))
+    g2 = mr.simplex_grid(inst.n2, mr._steps_for(inst.n2, budget))
+    seed, seed_score = None, (-1, -np.inf)
+    tilted, tilted_val = [None] * len(mus), [-np.inf] * len(mus)
+    for j in range(g2.shape[0]):
+        stats = column_stats(inst, g1, g2[j])
+        idx, score = mr._score_block(stats, prob, w1, w2)
+        if mr._better(score, seed_score):
+            seed_score, seed = score, (g1[idx], g2[j])
+        ok = ((stats[:, 4] <= prob.p1_budget + mr.FEAS_TOL)
+              & (stats[:, 5] <= prob.p2_budget + mr.FEAS_TOL))
+        rates = mr._corner_rates(stats[:, 0], stats[:, 1], stats[:, 2], w1, w2)
+        for m, mu in enumerate(mus):
+            vals = np.where(ok, rates + mu * stats[:, 3], -np.inf)
+            idx = int(np.argmax(vals))
+            if vals[idx] > tilted_val[m]:
+                tilted_val[m] = float(vals[idx])
+                tilted[m] = (g1[idx], g2[j], stats[idx].copy())
+    return seed, tilted
+
+
+class TestProductScan:
+    MUS8 = [0.3 * m for m in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0)]
+
+    @pytest.mark.parametrize("label,prob", [
+        ("r2025", make_random_mac_instance(2025)),
+        ("r2025 binding B", make_random_mac_instance(2025).with_target(1.394)),  # 0.9 Emax
+        ("ternary", make_ternary_cost_problem(0.8)),
+        ("ternary binding B", make_ternary_cost_problem(1.3)),
+        ("adder binding B", make_adder_problem(1.2)),  # symmetric: exact ties
+    ])
+    @pytest.mark.parametrize("mus", [[0.0], MUS8])
+    @pytest.mark.parametrize("w", [(1.0, 1.0), (0.0, 1.0)])
+    def test_chunked_scan_matches_per_column_scan(self, label, prob, mus, w):
+        inst = mr._Instance(prob)
+        got = mr._product_scan(inst, prob, *w, mus, mr.MAX_BLOCK_CANDIDATES)
+        want = per_column_scan(inst, prob, *w, mus, mr.MAX_BLOCK_CANDIDATES)
+        assert np.array_equal(got[0][0], want[0][0])
+        assert np.array_equal(got[0][1], want[0][1])
+        assert len(got[1]) == len(want[1]) == len(mus)
+        for a, b in zip(got[1], want[1]):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def dense_gaussian_oracle(power, b_target, points=1025):

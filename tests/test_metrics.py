@@ -5,6 +5,7 @@ import pytest
 
 import infoenergy as ie
 from conftest import binary_entropy, make_binary_adder, make_bsc
+from infoenergy.metrics import entropy_bits
 
 
 class TestEntropy:
@@ -36,6 +37,18 @@ class TestEntropy:
             mix = ie.Pmf(lam * p + (1 - lam) * q)
             bound = lam * ie.entropy(ie.Pmf(p)) + (1 - lam) * ie.entropy(ie.Pmf(q))
             assert ie.entropy(mix) >= bound - 1e-12
+
+    def test_bits_match_masked_log_sum(self):
+        # Short rows are added column by column, long rows by numpy's sum;
+        # either way the bits are those of the plain masked reduction.
+        rng = np.random.default_rng(5)
+        for n in range(2, 13):
+            for shape in ((n,), (40, n), (3, 4, n)):
+                p = rng.dirichlet(np.ones(n), size=shape[:-1] or None)
+                p[rng.random(p.shape) < 0.3] = 0.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    want = -np.where(p > 0, p * np.log2(p), 0).sum(-1)
+                assert np.array_equal(entropy_bits(p), want), (n, shape)
 
 
 class TestMutualInformation:
