@@ -170,8 +170,8 @@ class DmChannel:
         expected = tuple(len(a) for a in alphas) + (len(self.output_alphabet),)
         if W.shape != expected:
             raise ValueError(f"transition shape {W.shape} != expected {expected}")
-        if np.any(W < 0):
-            raise ValueError("transition probabilities must be nonnegative")
+        if not (np.isfinite(W) & (W >= 0)).all():
+            raise ValueError("transition probabilities must be finite and nonnegative")
         rows = W.reshape(-1, W.shape[-1])
         sums = rows.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > PMF_TOL)

@@ -39,25 +39,48 @@ class GaussianPhasePolicy:
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """Fixed random codebook: one length-n real codeword per message."""
+    """Fixed random codebook: one length-n codeword per message, stored once.
 
-    n: int
-    codewords: np.ndarray  # (messages, n) symbol values
-    message_count: int
+    ``words`` holds alphabet positions in the smallest unsigned dtype that
+    fits when ``alphabet`` is set, and real signal values otherwise.
+    """
+
+    words: np.ndarray  # (messages, n)
     q_seq: np.ndarray | None = None  # shared coordination sequence, if any
-    codeword_indices: np.ndarray | None = None  # alphabet positions (discrete)
+    alphabet: Alphabet | None = None
 
     def __post_init__(self):
-        cw = np.array(self.codewords, dtype=float)
-        cw.setflags(write=False)
-        object.__setattr__(self, "codewords", cw)
-        if cw.shape != (self.message_count, self.n):
-            raise ValueError("codeword array shape mismatch")
+        words = np.asarray(self.words, dtype=float if self.alphabet is None else None)
+        if self.alphabet is not None:
+            if words.dtype.kind not in "iu" or words.size and not (
+                    words.min() >= 0 and words.max() < len(self.alphabet)):
+                raise ValueError("discrete codewords must be alphabet positions")
+            words = words.astype(np.min_scalar_type(len(self.alphabet) - 1), copy=False)
+        words = words.view()
+        words.setflags(write=False)
+        object.__setattr__(self, "words", words)
+
+    @property
+    def n(self) -> int:
+        return self.words.shape[1]
+
+    @property
+    def message_count(self) -> int:
+        return self.words.shape[0]
+
+    @property
+    def codewords(self) -> np.ndarray:
+        """Symbol values, (messages, n); derived anew on each access if discrete."""
+        return self.words if self.alphabet is None else self.alphabet.symbols[self.words]
 
 
 @dataclass(frozen=True)
 class SimReport:
-    """Empirical statistics from a batch of independent trials."""
+    """Empirical statistics from a batch of independent trials.
+
+    Unmeasured fields read NaN: ``err_rate`` always, ``relay_viol_freq`` in
+    ``simulate_mac_energy`` and ``viol_freq`` in ``simulate_mhc_harvest``.
+    """
 
     n: int
     trials: int
@@ -89,33 +112,40 @@ def _message_count(n: int, rate: float) -> int:
     return max(1, int(round(2.0 ** bits)))
 
 
-def _block_cost(values: np.ndarray, cost, indices: np.ndarray | None) -> float:
+def _block_cost(word: np.ndarray, cost, alphabet: Alphabet | None) -> float:
     if cost is None:
         return 0.0
     if isinstance(cost, CostFn):
-        if indices is None:
+        if alphabet is None:
             raise ValueError("table costs need a discrete alphabet")
-        return float(cost.values[indices].mean())
-    return float(np.mean(cost(values)))
+        return float(cost.values[word].mean())
+    return float(np.mean(cost(word if alphabet is None else alphabet.symbols[word])))
 
 
-def _draw_discrete_block(policy, rng, n, alphabet, input_index, q_seq):
+def _draw_q(policy, rng, n):
+    """Shared coordination sequence for time-sharing and two-phase policies."""
+    if isinstance(policy, TimeSharingPolicy):
+        return rng.choice(len(policy), size=n, p=policy.q_pmf.probs)
+    if isinstance(policy, GaussianPhasePolicy):
+        return (rng.random(n) < policy.lam).astype(int)
+    return None
+
+
+def _draw_discrete_block(policy, rng, n, q_seq, input_index):
     if isinstance(policy, Pmf):
-        idx = rng.choice(len(policy), size=n, p=policy.probs)
-    else:
-        idx = np.empty(n, dtype=int)
-        for qv in np.unique(q_seq):
-            where = q_seq == qv
-            table = policy.inputs[qv][input_index]
-            idx[where] = rng.choice(len(table), size=int(where.sum()), p=table.probs)
-    return alphabet.symbols[idx], idx
+        return rng.choice(len(policy), size=n, p=policy.probs)
+    idx = np.empty(n, dtype=int)
+    for qv in np.unique(q_seq):
+        where = q_seq == qv
+        table = policy.inputs[qv][input_index]
+        idx[where] = rng.choice(len(table), size=int(where.sum()), p=table.probs)
+    return idx
 
 
-def _draw_gaussian_block(policy: GaussianPhasePolicy, rng, n, q_seq):
-    vals = np.where(q_seq == 1,
+def _draw_gaussian_block(policy: GaussianPhasePolicy, rng, n, q_seq, input_index):
+    return np.where(q_seq == 1,
                     rng.normal(0.0, np.sqrt(policy.p_prime) if policy.p_prime > 0 else 0.0, n),
                     np.sqrt(policy.p_dprime))
-    return vals, None
 
 
 def generate_codebook(policy, n: int, rate: float, *, alphabet: Alphabet | None = None,
@@ -123,48 +153,38 @@ def generate_codebook(policy, n: int, rate: float, *, alphabet: Alphabet | None 
                       q_seq: np.ndarray | None = None, input_index: int = 0) -> Codebook:
     """Draw a codebook i.i.d. from the policy, rescreening over-budget words.
 
-    Discrete policies (Pmf or TimeSharingPolicy) need the symbol alphabet;
-    time-sharing and two-phase policies draw a shared Q sequence first (or
-    reuse the one given) and condition every codeword on it.
+    Discrete policies (Pmf or TimeSharingPolicy) need the symbol alphabet and
+    store alphabet positions; two-phase policies take no alphabet and store
+    values.  Time-sharing and two-phase policies draw a shared Q sequence
+    first (or reuse the one given) and condition every codeword on it.
     """
     messages = _message_count(n, rate)
     rng = _trial_rng(seed, 0x600D)
+    if q_seq is None:
+        q_seq = _draw_q(policy, rng, n)
+    gaussian = isinstance(policy, GaussianPhasePolicy)
+    if gaussian != (alphabet is None):
+        raise ValueError("discrete policies need an alphabet; two-phase policies take none")
 
-    needs_q = isinstance(policy, (TimeSharingPolicy, GaussianPhasePolicy))
-    if needs_q and q_seq is None:
-        if isinstance(policy, TimeSharingPolicy):
-            q_seq = rng.choice(len(policy), size=n, p=policy.q_pmf.probs)
-        else:
-            q_seq = (rng.random(n) < policy.lam).astype(int)
-    if isinstance(policy, (Pmf, TimeSharingPolicy)) and alphabet is None:
-        raise ValueError("discrete policies need an alphabet")
-
-    words = np.empty((messages, n))
-    indices = np.empty((messages, n), dtype=int) if alphabet is not None else None
+    draw = _draw_gaussian_block if gaussian else _draw_discrete_block
+    dtype = float if gaussian else np.min_scalar_type(len(alphabet) - 1)
+    words = np.empty((messages, n), dtype=dtype)
     for m in range(messages):
         for attempt in range(MAX_REJECTIONS + 1):
-            if isinstance(policy, GaussianPhasePolicy):
-                vals, idx = _draw_gaussian_block(policy, rng, n, q_seq)
-            else:
-                vals, idx = _draw_discrete_block(policy, rng, n, alphabet,
-                                                 input_index, q_seq)
-            if budget is None or _block_cost(vals, cost, idx) <= budget + COST_SLACK:
+            word = draw(policy, rng, n, q_seq, input_index)
+            if budget is None or _block_cost(word, cost, alphabet) <= budget + COST_SLACK:
                 break
         else:
             raise RuntimeError(
                 f"codeword {m}: cost budget {budget} incompatible with the policy "
                 f"after {MAX_REJECTIONS} attempts")
-        words[m] = vals
-        if indices is not None:
-            indices[m] = idx
+        words[m] = word
 
     if budget is not None:
         for m in range(messages):
-            got = _block_cost(words[m], cost,
-                              indices[m] if indices is not None else None)
-            if not got <= budget + COST_SLACK:
+            if not _block_cost(words[m], cost, alphabet) <= budget + COST_SLACK:
                 raise RuntimeError(f"codeword {m}: cost screening failed")
-    return Codebook(n, words, messages, q_seq, indices)
+    return Codebook(words, q_seq, alphabet)
 
 
 def generate_mac_codebooks(policy, n: int, rate1: float, rate2: float, *,
@@ -175,13 +195,7 @@ def generate_mac_codebooks(policy, n: int, rate1: float, rate2: float, *,
     Time sharing requires the encoders to agree on Q^n, so it is drawn once
     and both codebooks condition on it.
     """
-    rng = _trial_rng(seed, 0xC0DE)
-    if isinstance(policy, TimeSharingPolicy):
-        q_seq = rng.choice(len(policy), size=n, p=policy.q_pmf.probs)
-    elif isinstance(policy, GaussianPhasePolicy):
-        q_seq = (rng.random(n) < policy.lam).astype(int)
-    else:
-        q_seq = None
+    q_seq = _draw_q(policy, _trial_rng(seed, 0xC0DE), n)
     cb1 = generate_codebook(policy, n, rate1, alphabet=alphabets[0], cost=costs[0],
                             budget=budgets[0], seed=seed + 1, q_seq=q_seq, input_index=0)
     cb2 = generate_codebook(policy, n, rate2, alphabet=alphabets[1], cost=costs[1],
@@ -194,36 +208,39 @@ def generate_mac_codebooks(policy, n: int, rate1: float, rate2: float, *,
 # ---------------------------------------------------------------------------
 
 
-class DmMacSampler:
+class _DiscreteSampler:
+    """Inverse-CDF sampling of a discrete channel on symbol indices."""
+
+    discrete = True
+
+    def __init__(self, ch: DmChannel):
+        if ch.is_mac != self._mac:
+            raise ValueError("expected a two-sender channel" if self._mac
+                             else "expected a point-to-point channel")
+        self.channel = ch
+        self._cdf = np.cumsum(ch.transition, axis=-1)
+
+    def _draw(self, cdf, rng) -> np.ndarray:
+        u = rng.random(cdf.shape[0])
+        return np.minimum((u[:, None] > cdf).sum(axis=1), cdf.shape[1] - 1)
+
+
+class DmMacSampler(_DiscreteSampler):
     """Samples a discrete two-sender channel on symbol indices."""
 
-    discrete = True
-
-    def __init__(self, ch: DmChannel):
-        if not ch.is_mac:
-            raise ValueError("expected a two-sender channel")
-        self.channel = ch
-        self._cdf = np.cumsum(ch.transition, axis=-1)
+    _mac = True
 
     def sample(self, x1_idx, x2_idx, rng) -> np.ndarray:
-        cdf = self._cdf[x1_idx, x2_idx]
-        u = rng.random(cdf.shape[0])
-        return np.minimum((u[:, None] > cdf).sum(axis=1), cdf.shape[1] - 1)
+        return self._draw(self._cdf[x1_idx, x2_idx], rng)
 
 
-class DmPointToPointSampler:
-    discrete = True
+class DmPointToPointSampler(_DiscreteSampler):
+    """Samples a discrete point-to-point channel on symbol indices."""
 
-    def __init__(self, ch: DmChannel):
-        if ch.is_mac:
-            raise ValueError("expected a point-to-point channel")
-        self.channel = ch
-        self._cdf = np.cumsum(ch.transition, axis=-1)
+    _mac = False
 
     def sample(self, x_idx, rng) -> np.ndarray:
-        cdf = self._cdf[x_idx]
-        u = rng.random(cdf.shape[0])
-        return np.minimum((u[:, None] > cdf).sum(axis=1), cdf.shape[1] - 1)
+        return self._draw(self._cdf[x_idx], rng)
 
 
 class GaussianMacSampler:
@@ -240,12 +257,26 @@ class GaussianMacSampler:
         return x1_vals + x2_vals + rng.normal(0.0, np.sqrt(self.n0), x1_vals.shape[0])
 
 
-def _energy_per_symbol(y, b, sampler) -> np.ndarray:
-    if sampler.discrete:
-        if not isinstance(b, EnergyFn):
-            raise ValueError("discrete channels need an EnergyFn table")
-        return b.values[y]
-    return b(y)
+def _trial_inputs(sampler, trials: int, *codebooks: Codebook) -> list:
+    """Check a simulation's arguments; return the codeword arrays the sampler reads."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if len({cb.n for cb in codebooks}) != 1:
+        raise ValueError("codebooks must share a blocklength")
+    if not sampler.discrete:
+        return [cb.codewords for cb in codebooks]
+    if any(cb.alphabet is None for cb in codebooks):
+        raise ValueError("discrete samplers need codebooks drawn on an alphabet")
+    return [cb.words for cb in codebooks]
+
+
+def _energy_fn(b, sampler):
+    """Per-symbol energy of the sampler's outputs (indices or values)."""
+    if not sampler.discrete:
+        return b
+    if not isinstance(b, EnergyFn):
+        raise ValueError("discrete channels need an EnergyFn table")
+    return lambda y: b.values[y]
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +291,18 @@ def simulate_mac_energy(cb1: Codebook, cb2: Codebook, sampler, b, b_target: floa
     Per trial the pair is uniform, the channel is sampled symbol by symbol,
     and the block average of b is compared against b_target - eps.
     """
-    if cb1.n != cb2.n:
-        raise ValueError("codebooks must share a blocklength")
+    x1, x2 = _trial_inputs(sampler, trials, cb1, cb2)
     if cb1.q_seq is not None and cb2.q_seq is not None:
         if not np.array_equal(cb1.q_seq, cb2.q_seq):
             raise ValueError("codebooks were built on different Q sequences")
+    energy = _energy_fn(b, sampler)
 
     bn = np.empty(trials)
     for t in range(trials):
         rng = _trial_rng(seed, t)
         m1 = int(rng.integers(cb1.message_count))
         m2 = int(rng.integers(cb2.message_count))
-        if sampler.discrete:
-            y = sampler.sample(cb1.codeword_indices[m1], cb2.codeword_indices[m2], rng)
-        else:
-            y = sampler.sample(cb1.codewords[m1], cb2.codewords[m2], rng)
-        bn[t] = _energy_per_symbol(y, b, sampler).mean()
+        bn[t] = energy(sampler.sample(x1[m1], x2[m2], rng)).mean()
 
     se = float(bn.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return SimReport(cb1.n, trials, seed, float(bn.mean()),
@@ -324,17 +351,15 @@ def simulate_mhc_harvest(cb1: Codebook, sampler, relay, b, p2_budget: float,
     let the relay emit its block, and flag trials where the relay's block cost
     exceeds harvested energy plus its own supply.
     """
+    (x1,) = _trial_inputs(sampler, trials, cb1)
+    energy = _energy_fn(b, sampler)
     c2 = c2 if c2 is not None else np.square
     harvested = np.empty(trials)
     violations = 0
     for t in range(trials):
         rng = _trial_rng(seed, t)
         m = int(rng.integers(cb1.message_count))
-        if sampler.discrete:
-            y1 = sampler.sample(cb1.codeword_indices[m], rng)
-        else:
-            y1 = sampler.sample(cb1.codewords[m], rng)
-        harvested[t] = _energy_per_symbol(y1, b, sampler).mean()
+        harvested[t] = energy(sampler.sample(x1[m], rng)).mean()
         x2 = relay.transmit(harvested[t] + p2_budget, cb1.n, rng)
         if float(np.mean(c2(x2))) > harvested[t] + p2_budget + COST_SLACK:
             violations += 1
@@ -350,32 +375,30 @@ def simulate_decode(cb1: Codebook, cb2: Codebook, sampler, trials: int,
     m1_count, m2_count = cb1.message_count, cb2.message_count
     if m1_count * m2_count > 1 << 20:
         raise ValueError("codebook pair too large for exhaustive decoding")
-    if cb1.n != cb2.n:
-        raise ValueError("codebooks must share a blocklength")
-    n = cb1.n
-
+    x1, x2 = _trial_inputs(sampler, trials, cb1, cb2)
     if sampler.discrete:
         with np.errstate(divide="ignore"):
             log_w = np.log(sampler.channel.transition)
-        idx1, idx2 = cb1.codeword_indices, cb2.codeword_indices
+
+        def log_likelihood(y):
+            ll = np.zeros((m1_count, m2_count))
+            for i in range(cb1.n):
+                ll += log_w[x1[:, i][:, None], x2[:, i][None, :], y[i]]
+            return ll
+    else:
+        def log_likelihood(y):
+            ll = np.empty((m1_count, m2_count))
+            for a in range(m1_count):
+                diff = y[None, :] - x1[a][None, :] - x2
+                ll[a] = -(diff * diff).sum(axis=1)
+            return ll
 
     errors = 0
     for t in range(trials):
         rng = _trial_rng(seed, t)
         m1 = int(rng.integers(m1_count))
         m2 = int(rng.integers(m2_count))
-        if sampler.discrete:
-            y = sampler.sample(idx1[m1], idx2[m2], rng)
-            ll = np.zeros((m1_count, m2_count))
-            for i in range(n):
-                ll += log_w[idx1[:, i][:, None], idx2[:, i][None, :], y[i]]
-        else:
-            y = sampler.sample(cb1.codewords[m1], cb2.codewords[m2], rng)
-            ll = np.empty((m1_count, m2_count))
-            for a in range(m1_count):
-                diff = y[None, :] - cb1.codewords[a][None, :] - cb2.codewords
-                ll[a] = -(diff * diff).sum(axis=1)
-        flat = int(np.argmax(ll))
+        flat = int(np.argmax(log_likelihood(sampler.sample(x1[m1], x2[m2], rng))))
         if (flat // m2_count, flat % m2_count) != (m1, m2):
             errors += 1
     return errors / trials

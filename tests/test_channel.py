@@ -32,6 +32,18 @@ class TestConstructors:
                 ie.Alphabet([0.0, 1.0]), ie.Alphabet([0.0, 1.0]),
                 [[0.7, 0.2], [0.5, 0.5]])
 
+    def test_channel_rejects_non_finite(self):
+        # NaN passes both the sign and the row-sum test unless it is checked.
+        x = ie.Alphabet([0.0, 1.0])
+        for bad in ([[np.nan, 1.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+                    [[1.0, 0.0], [-np.inf, 1.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                ie.DmChannel.point_to_point(x, x, bad)
+        W = np.full((2, 2, 2), 0.5)
+        W[1, 0] = [np.nan, 1.0]
+        with pytest.raises(ValueError, match="finite"):
+            ie.DmChannel.mac(x, x, x, W)
+
     def test_pmf_rejects_non_finite(self):
         for bad in ([np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]):
             with pytest.raises(ValueError, match="finite"):

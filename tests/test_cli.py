@@ -196,6 +196,22 @@ class TestSimulateCommands:
         assert float(row[3]) == pytest.approx(2.5, abs=0.1)
         assert float(row[6]) == 0.0
 
+    def test_unmeasured_columns_read_nan(self, tmp_path):
+        # Neither command decodes; simulate-mhc sets no energy floor and
+        # simulate-mac has no relay.  The README documents these as nan.
+        cases = [
+            (["simulate-mac", "--P", "1", "--n", "200", "--trials", "10",
+              "--b-min", "4.5"], {"err_rate", "relay_viol_freq"}),
+            (["simulate-mhc", "--P1", "4", "--P2", "0", "--n", "64",
+              "--trials", "10"], {"viol_freq", "err_rate"}),
+        ]
+        for argv, unmeasured in cases:
+            out = tmp_path / "sim.csv"
+            assert run(argv + ["--out", str(out)]) == 0
+            header, row = out.read_text().strip().split("\n")
+            for name, value in zip(header.split(","), row.split(",")):
+                assert (value == "nan") == (name in unmeasured), name
+
 
 class TestCliContract:
     def test_help_lists_subcommands(self, capsys):

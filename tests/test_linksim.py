@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import infoenergy as ie
+from conftest import make_binary_adder
 
 
 def reports_equal(a: ie.SimReport, b: ie.SimReport) -> bool:
@@ -41,7 +42,7 @@ class TestGenerateCodebook:
         cb = ie.generate_codebook(ie.Pmf.uniform(4), 40, 5 / 40,
                                   alphabet=FOUR_LEVELS, cost=SQUARES,
                                   budget=2.6, seed=3)
-        costs = SQUARES.values[cb.codeword_indices].mean(axis=1)
+        costs = SQUARES.values[cb.words].mean(axis=1)
         assert np.all(costs <= 2.6 + 1e-9)
 
     def test_incompatible_budget_raises(self):
@@ -84,6 +85,26 @@ class TestGenerateCodebook:
         with pytest.raises(ValueError, match="Q sequences"):
             ie.simulate_mac_energy(cb1, cb2, ie.GaussianMacSampler(1.0),
                                    np.square, 1.0, 0.1, 5, seed=0)
+
+    def test_discrete_words_are_uint8_positions(self):
+        cb = ie.generate_codebook(ie.Pmf.uniform(4), 64, 6 / 64, alphabet=FOUR_LEVELS,
+                                  cost=SQUARES, budget=2.6, seed=10)
+        assert cb.words.dtype == np.uint8
+        assert cb.words.nbytes == cb.message_count * cb.n == 64 * 64
+        assert np.array_equal(cb.codewords, FOUR_LEVELS.symbols[cb.words])
+        assert not cb.words.flags.writeable
+
+    def test_codebook_rejects_non_positions(self):
+        for bad in ([[0, 4]], [[-1, 0]], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="alphabet positions"):
+                ie.Codebook(np.array(bad), alphabet=FOUR_LEVELS)
+
+    def test_alphabet_follows_the_policy(self):
+        with pytest.raises(ValueError, match="need an alphabet"):
+            ie.generate_codebook(ie.Pmf.uniform(4), 10, 0.1)
+        with pytest.raises(ValueError, match="take none"):
+            ie.generate_codebook(ie.GaussianPhasePolicy(0.5, 1.0, 1.0), 10, 0.1,
+                                 alphabet=FOUR_LEVELS)
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="n\\*rate"):
@@ -132,6 +153,27 @@ class TestSimulateMacEnergy:
                                      ie.EnergyFn([0.0, 1.0, 2.0]), 0.9, 0.05,
                                      200, seed=6)
         assert rep.mean_bn == pytest.approx(1.0, abs=0.05)
+
+    def test_gaussian_sampler_reads_symbol_values(self):
+        # Indices 0 + 0 would give E[Y^2] ~ 0; the values -2 + -2 give 16.
+        cb = ie.generate_codebook(ie.Pmf.degenerate(4, 0), 200, 0.0,
+                                  alphabet=FOUR_LEVELS, seed=1)
+        rep = ie.simulate_mac_energy(cb, cb, ie.GaussianMacSampler(1e-6), np.square,
+                                     16.0, 0.1, 20, seed=1)
+        assert rep.mean_bn == pytest.approx(16.0, abs=1e-3)
+
+    def test_discrete_sampler_needs_alphabet_codebook(self):
+        values = ie.Codebook(np.zeros((4, 10)))
+        adder = ie.DmMacSampler(make_binary_adder())
+        energy = ie.EnergyFn([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="alphabet"):
+            ie.simulate_mac_energy(values, values, adder, energy, 1.0, 0.1, 5)
+        with pytest.raises(ValueError, match="alphabet"):
+            ie.simulate_decode(values, values, adder, 5)
+        hop = ie.DmPointToPointSampler(ie.DmChannel.noiseless(ie.Alphabet([0.0, 1.0])))
+        with pytest.raises(ValueError, match="alphabet"):
+            ie.simulate_mhc_harvest(values, hop, ie.ScalingGaussianRelay(),
+                                    ie.EnergyFn([0.0, 1.0]), 0.0, 5)
 
     def test_deterministic_given_seed(self):
         pol = ie.GaussianPhasePolicy(0.3, 1.0, 2.0)
@@ -234,11 +276,9 @@ class TestSimulateDecode:
         ch = self._noiseless_mac()
         cb1 = ie.generate_codebook(ie.Pmf.uniform(2), 30, 3 / 30,
                                    alphabet=ch.input_alphabets[0], seed=11)
-        words = cb1.codewords.copy()
-        idx = cb1.codeword_indices.copy()
-        words[1] = words[0]
+        idx = cb1.words.copy()
         idx[1] = idx[0]
-        clone = ie.Codebook(cb1.n, words, cb1.message_count, cb1.q_seq, idx)
+        clone = ie.Codebook(idx, cb1.q_seq, cb1.alphabet)
         cb2 = ie.generate_codebook(ie.Pmf.uniform(2), 30, 3 / 30,
                                    alphabet=ch.input_alphabets[1], seed=12)
         err = ie.simulate_decode(clone, cb2, ie.DmMacSampler(ch), 2000, seed=13)
@@ -249,6 +289,24 @@ class TestSimulateDecode:
         cb1, cb2 = ie.generate_mac_codebooks(pol, 60, 4 / 60, 4 / 60, seed=14)
         err = ie.simulate_decode(cb1, cb2, ie.GaussianMacSampler(0.01), 50, seed=15)
         assert err <= 0.1
-        big = ie.Codebook(1, np.zeros((2048, 1)), 2048)
+        big = ie.Codebook(np.zeros((2048, 1)))
         with pytest.raises(ValueError, match="too large"):
             ie.simulate_decode(big, big, ie.GaussianMacSampler(1.0), 1, seed=0)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("simulate", ["mac", "mhc", "decode"])
+def test_library_simulators_reject_fewer_than_one_trial(simulate, trials):
+    x = ie.Alphabet([0.0, 1.0])
+    cb = ie.generate_codebook(ie.Pmf.uniform(2), 8, 2 / 8, alphabet=x, seed=1)
+    adder = ie.DmMacSampler(make_binary_adder())
+    calls = {
+        "mac": lambda: ie.simulate_mac_energy(cb, cb, adder, ie.EnergyFn([0.0, 1.0, 2.0]),
+                                              1.0, 0.1, trials),
+        "mhc": lambda: ie.simulate_mhc_harvest(
+            cb, ie.DmPointToPointSampler(ie.DmChannel.noiseless(x)),
+            ie.ScalingGaussianRelay(), ie.EnergyFn([0.0, 1.0]), 0.0, trials),
+        "decode": lambda: ie.simulate_decode(cb, cb, adder, trials),
+    }
+    with pytest.raises(ValueError, match="trials"):
+        calls[simulate]()
