@@ -14,8 +14,8 @@ link it never touches.
 
 import numpy as np
 
-from infoenergy import (MhcGridSpec, example_problem, mhc_capacity,
-                        mhc_example_capacity, relay_snr_sweep)
+from infoenergy import (example_problem, mhc_capacity, mhc_example_capacity,
+                        relay_snr_sweep)
 
 P1, P2 = 4.0, 0.0
 
@@ -30,7 +30,7 @@ for r in rows:
 print("\ncross-check against the generic simplex solver:")
 for n0 in (4.0, 1.0, 0.25):
     scalar, p_star = mhc_example_capacity(P1, P2, n0)
-    generic = mhc_capacity(example_problem(P1, P2, n0), MhcGridSpec())
+    generic = mhc_capacity(example_problem(P1, P2, n0))
     print(f"  N0={n0:<5} scalar {scalar:.6f} (p*={p_star:.4f})   "
           f"generic {generic.capacity_bits:.6f}   "
           f"gap {abs(scalar - generic.capacity_bits):.2e}")

@@ -25,10 +25,9 @@ from .mac_region import (GaussianMacSolution, MacBoundaryResult, MacProblem,
                          mac_region_sweep, max_received_energy, simplex_grid)
 from .metrics import (TimeSharingPolicy, entropy, mac_mutual_informations,
                       mutual_information)
-from .multihop import (MhcGridSpec, MhcProblem, MhcSolution,
-                       cutset_joint_oracle, example_problem,
-                       mhc_capacity, mhc_example_capacity, relay_snr_sweep,
-                       symmetric_input_entropy)
+from .multihop import (MhcProblem, MhcSolution, cutset_joint_oracle,
+                       example_problem, mhc_capacity, mhc_example_capacity,
+                       relay_snr_sweep, symmetric_input_entropy)
 
 __version__ = "0.1.0"
 

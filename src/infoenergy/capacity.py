@@ -94,7 +94,6 @@ def dm_capacity_with_cost(
     ch: DmChannel,
     c: CostFn | None = None,
     budget: float | None = None,
-    bisect_steps: int = BISECT_STEPS,
 ) -> CapacityResult:
     """Cost-constrained capacity max I(X;Y) s.t. E[c(X)] <= budget.
 
@@ -140,7 +139,7 @@ def dm_capacity_with_cost(
     s_lo = 0.0
     r = r_hi
     s = s_hi
-    for _ in range(bisect_steps):
+    for _ in range(BISECT_STEPS):
         s_mid = 0.5 * (s_lo + s_hi)
         r_mid, _, cost_mid, its_mid = _ba_lagrangian(W, cost, s_mid)
         iterates = its_mid

@@ -54,12 +54,6 @@ class Alphabet:
     def __len__(self) -> int:
         return self.symbols.size
 
-    def index_of(self, value: float) -> int:
-        hits = np.flatnonzero(self.symbols == value)
-        if hits.size == 0:
-            raise ValueError(f"symbol {value!r} not in alphabet")
-        return int(hits[0])
-
 
 @dataclass(frozen=True, eq=False)
 class Pmf:
@@ -95,47 +89,36 @@ class Pmf:
 
 
 @dataclass(frozen=True, eq=False)
-class CostFn:
-    """Per-input-symbol transmit cost in energy units per channel use."""
+class _SymbolTable:
+    """Finite, nonnegative value per symbol, stored as a read-only vector."""
 
     values: np.ndarray
+    _what = "table"  # names the table in error messages
 
     def __post_init__(self):
         arr = _frozen(self.values)
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("cost table must be a nonempty 1-D vector")
+            raise ValueError(f"{self._what} table must be a nonempty 1-D vector")
         if not (np.isfinite(arr) & (arr >= 0)).all():
-            raise ValueError("costs must be finite and nonnegative")
+            raise ValueError(f"{self._what} values must be finite and nonnegative")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
         return self.values.size
-
-    @classmethod
-    def from_function(cls, fn, alphabet: Alphabet) -> "CostFn":
-        return cls(np.array([fn(s) for s in alphabet.symbols]))
 
 
 @dataclass(frozen=True, eq=False)
-class EnergyFn:
+class CostFn(_SymbolTable):
+    """Per-input-symbol transmit cost in energy units per channel use."""
+
+    _what = "cost"
+
+
+@dataclass(frozen=True, eq=False)
+class EnergyFn(_SymbolTable):
     """Per-output-symbol harvested/received energy per channel use."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen(self.values)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("energy table must be a nonempty 1-D vector")
-        if not (np.isfinite(arr) & (arr >= 0)).all():
-            raise ValueError("energies must be finite and nonnegative")
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @classmethod
-    def from_function(cls, fn, alphabet: Alphabet) -> "EnergyFn":
-        return cls(np.array([fn(s) for s in alphabet.symbols]))
+    _what = "energy"
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,14 +153,16 @@ class DmChannel:
         expected = tuple(len(a) for a in alphas) + (len(self.output_alphabet),)
         if W.shape != expected:
             raise ValueError(f"transition shape {W.shape} != expected {expected}")
-        if not (np.isfinite(W) & (W >= 0)).all():
-            raise ValueError("transition probabilities must be finite and nonnegative")
         rows = W.reshape(-1, W.shape[-1])
+        bad = np.flatnonzero(~(np.isfinite(rows) & (rows >= 0)).all(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"transition row {bad[0]} has an entry that is not finite and nonnegative")
         sums = rows.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > PMF_TOL)
         if bad.size:
             raise ValueError(
-                f"transition row {bad[0]} sums to {sums[bad[0]]!r}, not 1"
+                f"transition row {bad[0]} sums to {float(sums[bad[0]])!r}, not 1"
             )
         W = (rows / sums[:, None]).reshape(expected)
         W.setflags(write=False)
@@ -280,16 +265,22 @@ def load_channel_file(path):
             raise ChannelFormatError(f"{path}: {what} holds a non-finite number")
         return vals
 
+    def _built(where, make, *args):
+        """make(*args), with its ValueError re-raised as a format error."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise ChannelFormatError(f"{path}: {where}{exc}") from exc
+
     raw_inputs = doc["input_alphabets"]
     if not isinstance(raw_inputs, list) or len(raw_inputs) not in (1, 2):
         raise ChannelFormatError(f"{path}: input_alphabets must hold 1 or 2 alphabets")
-    try:
-        in_alphas = tuple(
-            Alphabet(_numbers(a, f"input alphabet {k}")) for k, a in enumerate(raw_inputs)
-        )
-        out_alpha = Alphabet(_numbers(doc["output_alphabet"], "output_alphabet"))
-    except ValueError as exc:
-        raise ChannelFormatError(f"{path}: {exc}") from exc
+    in_alphas = tuple(
+        _built(f"input alphabet {k}: ", Alphabet, _numbers(a, f"input alphabet {k}"))
+        for k, a in enumerate(raw_inputs)
+    )
+    out_alpha = _built("output_alphabet: ", Alphabet,
+                       _numbers(doc["output_alphabet"], "output_alphabet"))
 
     n_rows = int(np.prod([len(a) for a in in_alphas]))
     n_out = len(out_alpha)
@@ -306,13 +297,9 @@ def load_channel_file(path):
             raise ChannelFormatError(
                 f"{path}: transition row {r} has {len(vals)} entries, expected {n_out}"
             )
-        if any(v < 0 for v in vals):
-            raise ChannelFormatError(f"{path}: transition row {r} has a negative entry")
-        if abs(sum(vals) - 1.0) > PMF_TOL:
-            raise ChannelFormatError(
-                f"{path}: transition row {r} sums to {sum(vals)!r}, not 1"
-            )
         matrix[r] = vals
+    shape = tuple(len(a) for a in in_alphas) + (n_out,)
+    channel = _built("", DmChannel, in_alphas, out_alpha, matrix.reshape(shape))
 
     raw_cost = doc["cost"]
     if raw_cost and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw_cost):
@@ -326,21 +313,14 @@ def load_channel_file(path):
             raise ChannelFormatError(
                 f"{path}: cost table {k} has {len(vals)} entries, expected {len(in_alphas[k])}"
             )
-        if any(v < 0 for v in vals):
-            raise ChannelFormatError(f"{path}: cost table {k} has a negative entry")
-        costs.append(CostFn(vals))
+        costs.append(_built(f"cost table {k}: ", CostFn, vals))
 
     energy_vals = _numbers(doc["energy"], "energy")
     if len(energy_vals) != n_out:
         raise ChannelFormatError(
             f"{path}: energy has {len(energy_vals)} entries, expected {n_out}"
         )
-    if any(v < 0 for v in energy_vals):
-        raise ChannelFormatError(f"{path}: energy has a negative entry")
-
-    shape = tuple(len(a) for a in in_alphas) + (n_out,)
-    channel = DmChannel(in_alphas, out_alpha, matrix.reshape(shape))
-    return channel, tuple(costs), EnergyFn(energy_vals)
+    return channel, tuple(costs), _built("energy: ", EnergyFn, energy_vals)
 
 
 def save_channel_file(path, ch: DmChannel, costs, energy: EnergyFn):

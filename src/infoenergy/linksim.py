@@ -113,8 +113,6 @@ def _message_count(n: int, rate: float) -> int:
 
 
 def _block_cost(word: np.ndarray, cost, alphabet: Alphabet | None) -> float:
-    if cost is None:
-        return 0.0
     if isinstance(cost, CostFn):
         if alphabet is None:
             raise ValueError("table costs need a discrete alphabet")
@@ -159,6 +157,8 @@ def generate_codebook(policy, n: int, rate: float, *, alphabet: Alphabet | None 
     first (or reuse the one given) and condition every codeword on it.
     """
     messages = _message_count(n, rate)
+    if budget is not None and cost is None:
+        raise ValueError("a cost budget needs a cost table or function to screen by")
     rng = _trial_rng(seed, 0x600D)
     if q_seq is None:
         q_seq = _draw_q(policy, rng, n)
@@ -344,16 +344,15 @@ class FixedPowerGaussianRelay:
 
 
 def simulate_mhc_harvest(cb1: Codebook, sampler, relay, b, p2_budget: float,
-                         trials: int, seed: int = 0, c2=None) -> SimReport:
+                         trials: int, seed: int = 0) -> SimReport:
     """Check the relay spending rule block by block.
 
     Per trial: transmit a random first-hop codeword, harvest the block energy,
-    let the relay emit its block, and flag trials where the relay's block cost
-    exceeds harvested energy plus its own supply.
+    let the relay emit its block, and flag trials where the relay's block cost,
+    the mean square of its block, exceeds harvested energy plus its own supply.
     """
     (x1,) = _trial_inputs(sampler, trials, cb1)
     energy = _energy_fn(b, sampler)
-    c2 = c2 if c2 is not None else np.square
     harvested = np.empty(trials)
     violations = 0
     for t in range(trials):
@@ -361,7 +360,7 @@ def simulate_mhc_harvest(cb1: Codebook, sampler, relay, b, p2_budget: float,
         m = int(rng.integers(cb1.message_count))
         harvested[t] = energy(sampler.sample(x1[m], rng)).mean()
         x2 = relay.transmit(harvested[t] + p2_budget, cb1.n, rng)
-        if float(np.mean(c2(x2))) > harvested[t] + p2_budget + COST_SLACK:
+        if float(np.mean(np.square(x2))) > harvested[t] + p2_budget + COST_SLACK:
             violations += 1
 
     se = float(harvested.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

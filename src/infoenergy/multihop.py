@@ -2,9 +2,11 @@
 
 The end-to-end rate is the smaller of the first-hop mutual information and
 the second-hop capacity, where the relay's transmit budget is its own supply
-plus the mean energy it harvests from the first hop.  The outer input
-distribution is searched on a refined simplex grid; the inner problem is the
-cost-constrained capacity solver (discrete hop) or the closed Gaussian form.
+plus the mean energy it harvests from the first hop.  The first-hop input
+pmf is searched on a simplex grid and then on one scale ladder around the
+best point so far, keeping a single running best; the second hop is the
+cost-constrained capacity solver (discrete hop, pruned by that running best)
+or the closed Gaussian form (scored as one vectorised block per stage).
 The four-level worked example is solved exactly as a scalar max-min.
 """
 
@@ -21,6 +23,9 @@ from .mac_region import _ladder_candidates, simplex_grid
 from .metrics import entropy_bits
 
 FEAS_TOL = 1e-9
+MHC_STEPS = 65  # simplex grid for the first-hop input pmf
+MHC_REFINE_FACTOR = 8  # ladder scales shrink by this factor per pass
+MHC_REFINE_PASSES = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,13 +65,6 @@ class MhcSolution:
     relay_power: float | None = None
 
 
-@dataclass(frozen=True)
-class MhcGridSpec:
-    steps: int = 65
-    refine_factor: int = 8
-    refine_passes: int = 1
-
-
 def _second_hop_capacity(prob: MhcProblem, budget: float):
     """(bits, relay pmf or None, relay power or None) for a given budget."""
     if isinstance(prob.hop2, AwgnSpec):
@@ -78,14 +76,16 @@ def _second_hop_capacity(prob: MhcProblem, budget: float):
     return res.capacity_bits, res.input_pmf, None
 
 
-def mhc_capacity(prob: MhcProblem, spec: MhcGridSpec | None = None) -> MhcSolution:
+def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     """Best end-to-end rate over first-hop input pmfs within the cost budget.
 
     For each candidate p(x1) the value is min(I(X1;Y1), second-hop capacity
-    at budget E[b(Y1)] + P2); candidates are screened in decreasing budget
-    order so most inner solves are pruned by the running best.
+    at budget E[b(Y1)] + P2).  Candidates come from a MHC_STEPS simplex grid,
+    then from MHC_REFINE_PASSES scale ladders around the running best.  A
+    discrete second hop is solved per candidate in decreasing budget order:
+    its capacity does not fall as the budget grows, so the scan stops at the
+    first capacity that cannot beat the running best or that binds the min.
     """
-    spec = spec or MhcGridSpec()
     W1 = prob.hop1.transition
     c1 = prob.c1.values
     if c1.min() > prob.p1_budget + FEAS_TOL:
@@ -93,60 +93,37 @@ def mhc_capacity(prob: MhcProblem, spec: MhcGridSpec | None = None) -> MhcSoluti
             f"budget {prob.p1_budget} is below the cheapest hop-1 symbol cost {c1.min()}")
     beta = W1 @ prob.b.values  # mean harvested energy per input symbol
     h_rows = entropy_bits(W1)
-
-    awgn = isinstance(prob.hop2, AwgnSpec)
-    inner_cache: dict[float, float] = {}
-
-    def inner_bits(budget: float) -> float:
-        if awgn:
-            return awgn_capacity(budget, prob.hop2.n0)
-        hit = inner_cache.get(budget)
-        if hit is None:
-            hit = _second_hop_capacity(prob, budget)[0]
-            inner_cache[budget] = hit
-        return hit
-
-    def stage_best(cands: np.ndarray):
-        ec = cands @ c1
-        keep = ec <= prob.p1_budget + FEAS_TOL
-        cands = cands[keep]
+    grid = simplex_grid(W1.shape[0], MHC_STEPS)
+    best_val, p1 = -np.inf, None
+    for stage in range(MHC_REFINE_PASSES + 1):
+        cands = _ladder_candidates(grid, p1, stage, MHC_REFINE_FACTOR)
+        cands = cands[cands @ c1 <= prob.p1_budget + FEAS_TOL]
         if cands.shape[0] == 0:
-            return None
+            continue
         i1 = entropy_bits(cands @ W1) - cands @ h_rows
         budgets = cands @ beta + prob.p2_budget
-        if awgn:
+        if isinstance(prob.hop2, AwgnSpec):
             g = awgn_capacity_vec(budgets, prob.hop2.n0)
             vals = np.minimum(i1, g)
             # Among value ties, keep headroom in the slack term so later
             # refinement can trade it against the binding one.
             near = vals >= vals.max() - 1e-12
-            sub = int(np.argmax(np.where(near, i1 + g, -np.inf)))
-            return float(vals[sub]), cands[sub]
-        order = np.argsort(-budgets)
-        best_val, best_p = -np.inf, None
-        for j in order:
+            j = int(np.argmax(np.where(near, i1 + g, -np.inf)))
+            if vals[j] > best_val:
+                best_val, p1 = float(vals[j]), cands[j]
+            continue
+        for j in np.argsort(-budgets):
             if i1[j] <= best_val:
                 continue
-            g = inner_bits(float(budgets[j]))
+            g = _second_hop_capacity(prob, float(budgets[j]))[0]
             if g <= best_val:
                 break  # budgets only shrink from here on
-            val = min(float(i1[j]), g)
-            if val > best_val:
-                best_val, best_p = val, cands[j]
-        return (best_val, best_p) if best_p is not None else None
-
-    n1 = W1.shape[0]
-    grid = simplex_grid(n1, spec.steps)
-    incumbent = None
-    for stage in range(spec.refine_passes + 1):
-        center = incumbent[1] if incumbent is not None else None
-        found = stage_best(_ladder_candidates(grid, center, stage, spec.refine_factor))
-        if found is not None and (incumbent is None or found[0] > incumbent[0]):
-            incumbent = found
-    if incumbent is None:
+            best_val, p1 = min(float(i1[j]), g), cands[j]  # both terms beat it
+            if g <= i1[j]:
+                break  # hop 2 binds, and no later budget buys more of it
+    if p1 is None:
         raise InfeasibleError("no input pmf satisfies the hop-1 cost budget")
 
-    value, p1 = incumbent
     budget = float(p1 @ beta) + prob.p2_budget
     bits2, relay_pmf, relay_power = _second_hop_capacity(prob, budget)
     cap = min(float(entropy_bits(p1 @ W1) - p1 @ h_rows), bits2)

@@ -47,6 +47,18 @@ def binary_entropy(p: float) -> float:
     return -float(sum(terms))
 
 
+def negative_entry_doc(doc, field):
+    """The channel document with one negative entry in transition row 2,
+    cost table 1 or the energy table (the transition row still sums to 1)."""
+    if field == "transition":
+        doc["transition"][2] = [0.5, 1.0, -0.5]
+    elif field == "cost":
+        doc["cost"][1] = [0.0, -1.0]
+    else:
+        doc["energy"][1] = -1.0
+    return doc
+
+
 @pytest.fixture
 def adder_problem():
     return make_adder_problem()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import infoenergy as ie
-from conftest import make_binary_adder
+from conftest import make_binary_adder, negative_entry_doc
 
 
 class TestConstructors:
@@ -204,6 +204,13 @@ class TestChannelFile:
         doc = self._doc()
         doc["transition"][2] = [0.0, 0.9, 0.0]
         with pytest.raises(ie.ChannelFormatError, match="row 2"):
+            ie.load_channel_file(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("field, where", [
+        ("transition", "transition row 2"), ("cost", "cost table 1"), ("energy", "energy")])
+    def test_rejects_negative_entry_naming_it(self, tmp_path, field, where):
+        doc = negative_entry_doc(self._doc(), field)
+        with pytest.raises(ie.ChannelFormatError, match=where):
             ie.load_channel_file(self._write(tmp_path, doc))
 
     def test_rejects_ragged_matrix(self, tmp_path):

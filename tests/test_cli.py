@@ -7,6 +7,7 @@ import pytest
 
 import infoenergy as ie
 from infoenergy.cli import run
+from conftest import negative_entry_doc
 
 
 def write_adder_file(path):
@@ -103,6 +104,20 @@ class TestMacRegionCommand:
                   "--b-max", "1", "--steps", "2", "--out", str(out)])
         assert rc == 4
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, where", [
+        ("transition", "transition row 2"), ("cost", "cost table 1"), ("energy", "energy")])
+    def test_negative_entry_file_exits_4(self, tmp_path, capsys, field, where):
+        path = tmp_path / "neg.json"
+        write_adder_file(path)
+        doc = negative_entry_doc(json.loads(path.read_text()), field)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "region.csv"
+        rc = run(["mac-region", "--channel", str(path), "--b-min", "0",
+                  "--b-max", "1", "--steps", "2", "--out", str(out)])
+        assert rc == 4
+        assert where in capsys.readouterr().err
         assert not out.exists()
 
     def test_p2p_file_rejected(self, tmp_path):

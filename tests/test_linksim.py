@@ -51,6 +51,12 @@ class TestGenerateCodebook:
                                  alphabet=FOUR_LEVELS, cost=SQUARES,
                                  budget=1.0, seed=4)
 
+    def test_budget_without_cost_raises(self):
+        # Nothing to screen by: the budget would be silently ignored.
+        with pytest.raises(ValueError, match="cost"):
+            ie.generate_codebook(ie.Pmf.uniform(4), 64, 6 / 64,
+                                 alphabet=FOUR_LEVELS, budget=0.5, seed=3)
+
     def test_two_phase_structure_matches_q(self):
         pol = ie.GaussianPhasePolicy(0.5, 2.0, 3.0)
         cb = ie.generate_codebook(pol, 100, 0.05, seed=5)

@@ -84,20 +84,20 @@ class TestMhcCapacity:
     def test_monotone_in_budgets_and_energy(self):
         """More first-hop power, relay supply, or harvest never hurts.
 
-        Run on the plain grid (no refinement) so the candidate sets are
-        literally nested and the comparison is exact.
+        Run on the default solver, whose refinement ladder is centred on each
+        instance's own grid optimum: the candidate sets need not nest, but on
+        these instances every comparison holds to 1e-12.
         """
-        spec = ie.MhcGridSpec(steps=33, refine_passes=0)
         base = ie.example_problem(2.0, 0.5, 1.0)
-        cap = ie.mhc_capacity(base, spec).capacity_bits
+        cap = ie.mhc_capacity(base).capacity_bits
         more_p1 = ie.example_problem(3.0, 0.5, 1.0)
         more_p2 = ie.example_problem(2.0, 1.5, 1.0)
-        assert ie.mhc_capacity(more_p1, spec).capacity_bits >= cap - 1e-12
-        assert ie.mhc_capacity(more_p2, spec).capacity_bits >= cap - 1e-12
+        assert ie.mhc_capacity(more_p1).capacity_bits >= cap - 1e-12
+        assert ie.mhc_capacity(more_p2).capacity_bits >= cap - 1e-12
         boosted = ie.MhcProblem(base.hop1, base.hop2, base.c1, None,
                                 ie.EnergyFn(base.b.values * 2.0),
                                 base.p1_budget, base.p2_budget)
-        assert ie.mhc_capacity(boosted, spec).capacity_bits >= cap - 1e-12
+        assert ie.mhc_capacity(boosted).capacity_bits >= cap - 1e-12
 
     def test_sandwich_bounds(self):
         prob = make_dm_dm_instance("constant-harvest")
