@@ -1,9 +1,9 @@
 """Monte Carlo verification of the operational coding definitions.
 
 Codebooks are drawn i.i.d. from a generation policy, with per-codeword cost
-screening by rejection so the blockwise budget holds exactly.  Trials derive
-their random streams from (seed, trial index), so reports are bit-identical
-across runs and across serial/parallel execution.
+screening by rejection so the blockwise budget holds exactly.  Each codebook
+reads one random stream derived from its seed and each trial one derived from
+(seed, trial index), so reruns give bit-identical reports.
 
 The relay budget check uses the per-block reading of the harvesting
 constraint: the relay observes a whole received block, then spends at most
@@ -22,6 +22,7 @@ from .metrics import TimeSharingPolicy
 
 COST_SLACK = 1e-9
 MAX_REJECTIONS = 1000
+_BLOCK_VALUES = 1 << 14  # codeword symbols per drawn or screened block, at most
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,8 @@ class GaussianPhasePolicy:
     p_dprime: float
 
     def __post_init__(self):
-        if not 0 <= self.lam <= 1 or self.p_prime < 0 or self.p_dprime < 0:
+        if not (0 <= self.lam <= 1 and 0 <= self.p_prime < np.inf
+                and 0 <= self.p_dprime < np.inf):
             raise ValueError("invalid phase policy parameters")
 
 
@@ -106,18 +108,20 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 def _message_count(n: int, rate: float) -> int:
     if n < 1:
         raise ValueError("blocklength must be >= 1")
+    if not 0 <= rate < np.inf:
+        raise ValueError("rate must be finite and nonnegative")
     bits = n * rate
     if bits > 20 + 1e-9:
         raise ValueError("codebook too large: need n*rate <= 20")
     return max(1, int(round(2.0 ** bits)))
 
 
-def _block_cost(word: np.ndarray, cost, alphabet: Alphabet | None) -> float:
+def _block_cost(block: np.ndarray, cost, alphabet: Alphabet | None) -> np.ndarray:
     if isinstance(cost, CostFn):
         if alphabet is None:
             raise ValueError("table costs need a discrete alphabet")
-        return float(cost.values[word].mean())
-    return float(np.mean(cost(word if alphabet is None else alphabet.symbols[word])))
+        return cost.values[block].mean(axis=1)
+    return np.mean(cost(block if alphabet is None else alphabet.symbols[block]), axis=1)
 
 
 def _draw_q(policy, rng, n):
@@ -129,21 +133,21 @@ def _draw_q(policy, rng, n):
     return None
 
 
-def _draw_discrete_block(policy, rng, n, q_seq, input_index):
-    if isinstance(policy, Pmf):
-        return rng.choice(len(policy), size=n, p=policy.probs)
-    idx = np.empty(n, dtype=int)
-    for qv in np.unique(q_seq):
-        where = q_seq == qv
-        table = policy.inputs[qv][input_index]
-        idx[where] = rng.choice(len(table), size=int(where.sum()), p=table.probs)
-    return idx
-
-
-def _draw_gaussian_block(policy: GaussianPhasePolicy, rng, n, q_seq, input_index):
-    return np.where(q_seq == 1,
-                    rng.normal(0.0, np.sqrt(policy.p_prime) if policy.p_prime > 0 else 0.0, n),
-                    np.sqrt(policy.p_dprime))
+def _draw_block(policy, rng, rows: int, n: int, q_seq, input_index: int) -> np.ndarray:
+    """``rows`` codewords, the same numbers as ``rows`` one-word draws from ``rng``."""
+    if isinstance(policy, GaussianPhasePolicy):
+        return np.where(q_seq == 1, rng.normal(0.0, np.sqrt(policy.p_prime), (rows, n)),
+                        np.sqrt(policy.p_dprime))
+    # Per word, one rng.choice(k, size, p=) per q-group in np.unique order; choice
+    # maps one uniform per symbol through (cdf / cdf[-1]).searchsorted(u, "right").
+    groups = [(np.arange(n), policy)] if isinstance(policy, Pmf) else [
+        (np.flatnonzero(q_seq == qv), policy.inputs[qv][input_index]) for qv in np.unique(q_seq)]
+    u, block, start = rng.random((rows, n)), np.empty((rows, n), dtype=np.intp), 0
+    for where, pmf in groups:
+        cdf = pmf.probs.cumsum()
+        block[:, where] = (cdf / cdf[-1]).searchsorted(u[:, start:start + len(where)], "right")
+        start += len(where)
+    return block
 
 
 def generate_codebook(policy, n: int, rate: float, *, alphabet: Alphabet | None = None,
@@ -154,11 +158,13 @@ def generate_codebook(policy, n: int, rate: float, *, alphabet: Alphabet | None 
     Discrete policies (Pmf or TimeSharingPolicy) need the symbol alphabet and
     store alphabet positions; two-phase policies take no alphabet and store
     values.  Time-sharing and two-phase policies draw a shared Q sequence
-    first (or reuse the one given) and condition every codeword on it.
+    first (or reuse the one given) and condition every codeword on it.  A
+    cost is a CostFn table or a function applied to symbol values elementwise.
     """
     messages = _message_count(n, rate)
-    if budget is not None and cost is None:
-        raise ValueError("a cost budget needs a cost table or function to screen by")
+    if budget is not None and (cost is None or not np.isfinite(budget)):
+        raise ValueError("a cost budget must be finite, with a cost table or function "
+                         "to screen by")
     rng = _trial_rng(seed, 0x600D)
     if q_seq is None:
         q_seq = _draw_q(policy, rng, n)
@@ -166,24 +172,25 @@ def generate_codebook(policy, n: int, rate: float, *, alphabet: Alphabet | None 
     if gaussian != (alphabet is None):
         raise ValueError("discrete policies need an alphabet; two-phase policies take none")
 
-    draw = _draw_gaussian_block if gaussian else _draw_discrete_block
-    dtype = float if gaussian else np.min_scalar_type(len(alphabet) - 1)
-    words = np.empty((messages, n), dtype=dtype)
-    for m in range(messages):
-        for attempt in range(MAX_REJECTIONS + 1):
-            word = draw(policy, rng, n, q_seq, input_index)
-            if budget is None or _block_cost(word, cost, alphabet) <= budget + COST_SLACK:
-                break
-        else:
-            raise RuntimeError(
-                f"codeword {m}: cost budget {budget} incompatible with the policy "
-                f"after {MAX_REJECTIONS} attempts")
-        words[m] = word
-
-    if budget is not None:
-        for m in range(messages):
-            if not _block_cost(words[m], cost, alphabet) <= budget + COST_SLACK:
-                raise RuntimeError(f"codeword {m}: cost screening failed")
+    words = np.empty((messages, n), float if gaussian else np.min_scalar_type(len(alphabet) - 1))
+    rows, done, rejected = max(1, _BLOCK_VALUES // n), 0, 0
+    while done < messages:
+        block = _draw_block(policy, rng, min(messages - done, rows), n, q_seq, input_index)
+        if budget is not None:  # count the rejections before each accepted row
+            ok = np.flatnonzero(_block_cost(block, cost, alphabet) <= budget + COST_SLACK)
+            runs = np.diff(ok, prepend=-1 - rejected, append=len(block)) - 1
+            if runs.max() > MAX_REJECTIONS:
+                raise RuntimeError(f"codeword {done + np.argmax(runs > MAX_REJECTIONS)}: cost "
+                                   f"budget {budget} incompatible with the policy after "
+                                   f"{MAX_REJECTIONS} attempts")
+            block, rejected = block[ok], runs[-1]
+        words[done:done + len(block)] = block
+        done += len(block)
+    # Certificate: recheck the stored words, a block at a time to bound temporaries.
+    for start in range(0, messages, rows) if budget is not None else ():
+        over = ~(_block_cost(words[start:start + rows], cost, alphabet) <= budget + COST_SLACK)
+        if over.any():
+            raise RuntimeError(f"codeword {start + np.argmax(over)}: cost screening failed")
     return Codebook(words, q_seq, alphabet)
 
 
@@ -218,11 +225,17 @@ class _DiscreteSampler:
             raise ValueError("expected a two-sender channel" if self._mac
                              else "expected a point-to-point channel")
         self.channel = ch
-        self._cdf = np.cumsum(ch.transition, axis=-1)
+        # Symbol = CDF edges below u; no top edge, so rows summing below 1 end on the last.
+        cdf = np.cumsum(ch.transition, axis=-1)
+        self._edges = np.ascontiguousarray(cdf.reshape(-1, cdf.shape[-1]).T[:-1])
 
-    def _draw(self, cdf, rng) -> np.ndarray:
-        u = rng.random(cdf.shape[0])
-        return np.minimum((u[:, None] > cdf).sum(axis=1), cdf.shape[1] - 1)
+    def _draw(self, inputs: np.ndarray, rng) -> np.ndarray:
+        """One output per entry of ``inputs``, flat indices into the channel's input grid."""
+        u = rng.random(len(inputs))
+        y = np.zeros(len(u), dtype=np.intp)
+        for edge in self._edges:
+            y += u > edge.take(inputs)
+        return y
 
 
 class DmMacSampler(_DiscreteSampler):
@@ -231,7 +244,8 @@ class DmMacSampler(_DiscreteSampler):
     _mac = True
 
     def sample(self, x1_idx, x2_idx, rng) -> np.ndarray:
-        return self._draw(self._cdf[x1_idx, x2_idx], rng)
+        inputs = np.asarray(x1_idx, dtype=np.intp) * self.channel.transition.shape[1] + x2_idx
+        return self._draw(inputs, rng)
 
 
 class DmPointToPointSampler(_DiscreteSampler):
@@ -240,7 +254,7 @@ class DmPointToPointSampler(_DiscreteSampler):
     _mac = False
 
     def sample(self, x_idx, rng) -> np.ndarray:
-        return self._draw(self._cdf[x_idx], rng)
+        return self._draw(x_idx, rng)
 
 
 class GaussianMacSampler:
@@ -249,8 +263,8 @@ class GaussianMacSampler:
     discrete = False
 
     def __init__(self, n0: float = 1.0):
-        if n0 <= 0:
-            raise ValueError("noise variance must be positive")
+        if not 0 < n0 < np.inf:
+            raise ValueError("noise variance must be positive and finite")
         self.n0 = n0
 
     def sample(self, x1_vals, x2_vals, rng) -> np.ndarray:
@@ -335,8 +349,8 @@ class FixedPowerGaussianRelay:
     """Gaussian block at nominal power; block cost fluctuates around it."""
 
     def __init__(self, power: float):
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        if not 0 <= power < np.inf:
+            raise ValueError("power must be finite and nonnegative")
         self.power = power
 
     def transmit(self, budget: float, n: int, rng) -> np.ndarray:

@@ -25,6 +25,68 @@ SQUARES = ie.CostFn([4.0, 1.0, 1.0, 4.0])
 SQUARES_B = ie.EnergyFn([4.0, 1.0, 1.0, 4.0])
 
 
+def one_word_codebook(policy, n, rate, *, alphabet=None, cost=None, budget=None, seed=0,
+                      q_seq=None, input_index=0):
+    """Reference generator: one codeword per draw call, screened as it is drawn.
+
+    generate_codebook draws whole blocks of codewords; it must give these
+    words, and raise at the same codeword, bit for bit.
+    """
+    messages = max(1, int(round(2.0 ** (n * rate))))
+    rng = np.random.default_rng([seed, 0x600D])
+    if q_seq is None and isinstance(policy, ie.TimeSharingPolicy):
+        q_seq = rng.choice(len(policy), size=n, p=policy.q_pmf.probs)
+    elif q_seq is None and isinstance(policy, ie.GaussianPhasePolicy):
+        q_seq = (rng.random(n) < policy.lam).astype(int)
+
+    def draw():
+        if isinstance(policy, ie.GaussianPhasePolicy):
+            sd = np.sqrt(policy.p_prime) if policy.p_prime > 0 else 0.0
+            return np.where(q_seq == 1, rng.normal(0.0, sd, n), np.sqrt(policy.p_dprime))
+        if isinstance(policy, ie.Pmf):
+            return rng.choice(len(policy), size=n, p=policy.probs)
+        idx = np.empty(n, dtype=int)
+        for qv in np.unique(q_seq):
+            where = q_seq == qv
+            table = policy.inputs[qv][input_index]
+            idx[where] = rng.choice(len(table), size=int(where.sum()), p=table.probs)
+        return idx
+
+    def word_cost(word):
+        if isinstance(cost, ie.CostFn):
+            return float(cost.values[word].mean())
+        return float(np.mean(cost(word if alphabet is None else alphabet.symbols[word])))
+
+    words = []
+    for m in range(messages):
+        for _ in range(ie.linksim.MAX_REJECTIONS + 1):
+            word = draw()
+            if budget is None or word_cost(word) <= budget + ie.linksim.COST_SLACK:
+                break
+        else:
+            raise RuntimeError(
+                f"codeword {m}: cost budget {budget} incompatible with the policy "
+                f"after {ie.linksim.MAX_REJECTIONS} attempts")
+        words.append(word)
+    return np.array(words), q_seq
+
+
+def comparison_sum(cdf_rows, u):
+    """Reference channel draw: count the CDF entries below u, clamped to the top symbol."""
+    return np.minimum((u[:, None] > cdf_rows).sum(axis=1), cdf_rows.shape[1] - 1)
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
 class TestGenerateCodebook:
     def test_degenerate_policy_constant_words(self):
         cb = ie.generate_codebook(ie.Pmf.degenerate(4, 2), 50, 4 / 50,
@@ -116,6 +178,196 @@ class TestGenerateCodebook:
         with pytest.raises(ValueError, match="n\\*rate"):
             ie.generate_codebook(ie.Pmf.uniform(2), 100, 0.5,
                                  alphabet=ie.Alphabet([0.0, 1.0]))
+
+    @pytest.mark.parametrize("rate", [-0.5, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_rate(self, rate):
+        # A negative rate used to give a one-message codebook.
+        with pytest.raises(ValueError, match="rate"):
+            ie.generate_codebook(ie.Pmf.uniform(4), 10, rate, alphabet=FOUR_LEVELS)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_budget(self, budget):
+        # A NaN budget used to reject 1,001 words, then blame the policy.
+        with pytest.raises(ValueError, match="finite"):
+            ie.generate_codebook(ie.Pmf.uniform(4), 10, 0.2, alphabet=FOUR_LEVELS,
+                                 cost=SQUARES, budget=budget)
+
+
+class TestBlockDrawsMatchOneWordDraws:
+    """Block draws give the same words as one draw call per codeword."""
+
+    LEVELS3 = ie.Alphabet([0.0, 1.0, 3.0])
+    SHARING = ie.TimeSharingPolicy(
+        ie.Pmf([0.2, 0.5, 0.3]),
+        ((ie.Pmf([0.5, 0.5, 0.0]), ie.Pmf([0.1, 0.2, 0.7])),
+         (ie.Pmf([0.2, 0.3, 0.5]), ie.Pmf.uniform(3)),
+         (ie.Pmf.degenerate(3, 2), ie.Pmf([0.6, 0.4, 0.0]))))
+
+    @pytest.mark.parametrize("probs", [None, [0.1, 0.6, 0.3]])
+    @pytest.mark.parametrize("screen", ["none", "table", "callable"])
+    def test_pmf_codebooks(self, probs, screen):
+        pmf = ie.Pmf.uniform(3) if probs is None else ie.Pmf(probs)
+        cost, budget = {"none": (None, None),
+                        "table": (ie.CostFn([0.0, 1.0, 9.0]), 2.0),
+                        "callable": (np.square, 2.0)}[screen]
+        for n, seed in ((1, 3), (7, 4), (40, 5)):
+            kwargs = dict(alphabet=self.LEVELS3, cost=cost, budget=budget, seed=seed)
+            want, _ = one_word_codebook(pmf, n, 6 / n, **kwargs)
+            cb = ie.generate_codebook(pmf, n, 6 / n, **kwargs)
+            assert np.array_equal(cb.words, want)
+
+    @pytest.mark.parametrize("screen", ["none", "table", "callable"])
+    def test_time_sharing_pair(self, screen):
+        pol = self.SHARING
+        cost, budget = {"none": (None, None),
+                        "table": (ie.CostFn([0.0, 1.0, 9.0]), 5.0),
+                        "callable": (np.square, 5.0)}[screen]
+        cbs = ie.generate_mac_codebooks(pol, 30, 5 / 30, 4 / 30,
+                                        alphabets=(self.LEVELS3, self.LEVELS3),
+                                        costs=(cost, cost), budgets=(budget, budget), seed=11)
+        for i, (cb, rate) in enumerate(zip(cbs, (5 / 30, 4 / 30))):
+            want, _ = one_word_codebook(pol, 30, rate, alphabet=self.LEVELS3, cost=cost,
+                                        budget=budget, seed=12 + i, q_seq=cb.q_seq,
+                                        input_index=i)
+            assert np.array_equal(cb.words, want)
+
+    @pytest.mark.parametrize("screen", ["none", "callable"])
+    def test_two_phase_pair(self, screen):
+        pol = ie.GaussianPhasePolicy(0.6, 2.0, 0.5)
+        cost, budget = (None, None) if screen == "none" else (np.square, 1.6)
+        cbs = ie.generate_mac_codebooks(pol, 25, 6 / 25, 3 / 25, costs=(cost, cost),
+                                        budgets=(budget, budget), seed=21)
+        for i, (cb, rate) in enumerate(zip(cbs, (6 / 25, 3 / 25))):
+            want, _ = one_word_codebook(pol, 25, rate, cost=cost, budget=budget,
+                                        seed=22 + i, q_seq=cb.q_seq)
+            assert np.array_equal(cb.words, want)
+
+    @pytest.mark.parametrize("kind", ["table", "callable", "two-phase"])
+    def test_codebooks_larger_than_one_block(self, kind):
+        # 64 words of 300 symbols exceed one block, so screening spans several.
+        assert 64 * 300 > ie.linksim._BLOCK_VALUES
+        if kind == "two-phase":  # mean cost 0.7 * 2 + 0.3 * 1 = 1.7
+            pol, kwargs = ie.GaussianPhasePolicy(0.7, 2.0, 1.0), dict(cost=np.square, budget=1.75)
+        else:  # mean cost 2.5
+            pol = ie.Pmf.uniform(4)
+            kwargs = dict(alphabet=FOUR_LEVELS, budget=2.6,
+                          cost=SQUARES if kind == "table" else np.square)
+        want, _ = one_word_codebook(pol, 300, 6 / 300, seed=41, **kwargs)
+        cb = ie.generate_codebook(pol, 300, 6 / 300, seed=41, **kwargs)
+        assert np.array_equal(cb.words, want)
+
+    @pytest.mark.parametrize("rate", [0.0, 3 / 50])
+    def test_q_drawn_from_the_codebook_stream(self, rate):
+        # No Q given: the codebook draws its own first.  Rate 0 is a single word.
+        for pol, alphabet in ((ie.GaussianPhasePolicy(0.5, 1.0, 2.0), None),
+                              (self.SHARING, self.LEVELS3)):
+            want, q = one_word_codebook(pol, 50, rate, alphabet=alphabet, seed=31)
+            cb = ie.generate_codebook(pol, 50, rate, alphabet=alphabet, seed=31)
+            assert np.array_equal(cb.q_seq, q)
+            assert np.array_equal(cb.words, want)
+
+    @pytest.mark.parametrize("seed", [4, 5, 10])
+    def test_incompatible_budget_names_the_same_codeword(self, seed):
+        # All nine symbols must be the cheap ones: about one word in 512 passes,
+        # so rejection runs cross block boundaries before one reaches 1,001.
+        kwargs = dict(alphabet=FOUR_LEVELS, cost=SQUARES, budget=1.0, seed=seed)
+        with pytest.raises(RuntimeError) as want:
+            one_word_codebook(ie.Pmf.uniform(4), 9, 1.0, **kwargs)
+        assert not str(want.value).startswith("codeword 0:")
+        with pytest.raises(RuntimeError) as got:
+            ie.generate_codebook(ie.Pmf.uniform(4), 9, 1.0, **kwargs)
+        assert str(got.value) == str(want.value)
+
+    def test_certificate_catches_an_over_budget_word(self, monkeypatch):
+        # Screening is made to pass every drawn block (intp symbol indices); the
+        # certificate over the stored uint8 words must still name the first word
+        # over budget, here in its second block.
+        rows = ie.linksim._BLOCK_VALUES // 200
+        for seed in range(100):
+            free = ie.generate_codebook(ie.Pmf.uniform(4), 200, 7 / 200, alphabet=FOUR_LEVELS,
+                                        seed=seed)
+            costs = SQUARES.values[free.words].mean(axis=1)
+            if costs[rows:].max() > costs[:rows].max():
+                break
+        budget = costs[:rows].max()
+        first_over = int(np.argmax(costs > budget + ie.linksim.COST_SLACK))
+        assert rows <= first_over < len(costs)
+
+        real = ie.linksim._block_cost
+
+        def screening_passes_all(block, cost, alphabet):
+            costs = real(block, cost, alphabet)
+            return costs if block.dtype == np.uint8 else np.zeros_like(costs)
+
+        monkeypatch.setattr(ie.linksim, "_block_cost", screening_passes_all)
+        with pytest.raises(RuntimeError, match=f"codeword {first_over}: cost screening failed"):
+            ie.generate_codebook(ie.Pmf.uniform(4), 200, 7 / 200, alphabet=FOUR_LEVELS,
+                                 cost=SQUARES, budget=budget, seed=seed)
+
+
+class TestSamplerMatchesComparisonSum:
+    """The edge-count samplers reproduce the comparison-sum draw symbol for symbol."""
+
+    def _random_rows(self, rs, rows, ny):
+        w = rs.random((rows, ny)) ** 3
+        w[rs.random((rows, ny)) < 0.2] = 0.0
+        w[:, 0] += 1e-3
+        return w / w.sum(axis=1, keepdims=True)
+
+    def test_point_to_point_and_mac_on_random_channels(self):
+        rs = np.random.default_rng(40)
+        for case in range(30):
+            nx, ny = int(rs.integers(1, 5)), int(rs.integers(1, 6))
+            ys = ie.Alphabet(np.arange(ny, dtype=float))
+            ch = ie.DmChannel.point_to_point(ie.Alphabet(np.arange(nx, dtype=float)), ys,
+                                              self._random_rows(rs, nx, ny))
+            cdf = np.cumsum(ch.transition, axis=-1)
+            x = rs.integers(0, nx, 400).astype(np.uint8)
+            got = ie.DmPointToPointSampler(ch).sample(x, np.random.default_rng(case))
+            want = comparison_sum(cdf[x], np.random.default_rng(case).random(400))
+            assert np.array_equal(got, want)
+
+            n1, n2 = int(rs.integers(1, 4)), int(rs.integers(1, 4))
+            law = self._random_rows(rs, n1 * n2, ny).reshape(n1, n2, ny)
+            ch = ie.DmChannel.mac(ie.Alphabet(np.arange(n1, dtype=float)),
+                                  ie.Alphabet(np.arange(n2, dtype=float)), ys, law)
+            cdf = np.cumsum(ch.transition, axis=-1)
+            x1 = rs.integers(0, n1, 400).astype(np.uint8)
+            x2 = rs.integers(0, n2, 400).astype(np.uint8)
+            got = ie.DmMacSampler(ch).sample(x1, x2, np.random.default_rng(case))
+            want = comparison_sum(cdf[x1, x2], np.random.default_rng(case).random(400))
+            assert np.array_equal(got, want)
+
+    def test_uniforms_on_an_edge_and_above_a_short_row(self):
+        # A row whose running sum ends below 1 even after normalisation.
+        rs = np.random.default_rng(0)
+        while True:
+            short = rs.dirichlet(np.ones(9))
+            if np.cumsum(short / short.sum())[-1] < 1.0:
+                break
+        rows = np.vstack([short, [0.25, 0.25, 0.0, 0.5] + [0.0] * 5, np.eye(9)[4]])
+        outputs = ie.Alphabet(np.arange(9.0))
+        ch = ie.DmChannel.point_to_point(ie.Alphabet([0.0, 1.0, 2.0]), outputs, rows)
+        cdf = np.cumsum(ch.transition, axis=-1)
+        assert cdf[0, -1] < 1.0
+        # Every CDF edge of every row exactly, then just above the short row's top,
+        # zero and the smallest positive uniform.
+        x = np.concatenate([np.repeat(np.arange(3), 9), [0, 0, 1, 2]]).astype(np.uint8)
+        u = np.concatenate([cdf.ravel(), [np.nextafter(cdf[0, -1], 1.0), 0.0, 5e-324, 0.0]])
+        got = ie.DmPointToPointSampler(ch).sample(x, FixedUniforms(u))
+        assert np.array_equal(got, comparison_sum(cdf[x], u))
+        assert got[27] == 8  # above the short row's last edge: the top symbol
+
+        mac = ie.DmChannel.mac(ie.Alphabet([0.0, 1.0]), ie.Alphabet([0.0, 1.0, 2.0]),
+                               outputs, np.stack([rows, rows[::-1]]))
+        cdf = np.cumsum(mac.transition, axis=-1)
+        x1, x2 = np.divmod(np.repeat(np.arange(6), 9), 3)
+        u = np.concatenate([cdf.reshape(-1), [np.nextafter(cdf[0, 0, -1], 1.0)]])
+        x1 = np.append(x1, 0).astype(np.uint8)
+        x2 = np.append(x2, 0).astype(np.uint8)
+        got = ie.DmMacSampler(mac).sample(x1, x2, FixedUniforms(u))
+        assert np.array_equal(got, comparison_sum(cdf[x1, x2], u))
+        assert got[-1] == 8
 
 
 class TestSimulateMacEnergy:
@@ -316,3 +568,20 @@ def test_library_simulators_reject_fewer_than_one_trial(simulate, trials):
     }
     with pytest.raises(ValueError, match="trials"):
         calls[simulate]()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+class TestRejectsNonFiniteParameters:
+    def test_phase_policy(self, bad):
+        # A NaN p'' used to give a zero-power Gaussian phase: nan > 0 is False.
+        for args in ((0.5, bad, 1.0), (0.5, 1.0, bad), (bad, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="phase policy"):
+                ie.GaussianPhasePolicy(*args)
+
+    def test_gaussian_mac_sampler(self, bad):
+        with pytest.raises(ValueError, match="noise variance"):
+            ie.GaussianMacSampler(bad)
+
+    def test_fixed_power_relay(self, bad):
+        with pytest.raises(ValueError, match="power"):
+            ie.FixedPowerGaussianRelay(bad)
