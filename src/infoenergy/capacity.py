@@ -8,6 +8,7 @@ case is handled in closed form only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,20 +32,40 @@ class CapacityResult:
     iterates: list = field(default_factory=list)
 
 
-def awgn_capacity(power: float, n0: float) -> float:
-    """Capacity 0.5*log2(1 + power/n0) of an average-power-limited AWGN link."""
-    if n0 <= 0:
-        raise ValueError("noise variance must be positive")
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    return 0.5 * float(np.log2(1.0 + power / n0))
+def awgn_capacity(power, n0: float):
+    """Capacity 0.5*log2(1 + power/n0) of an average-power-limited AWGN link.
+
+    A scalar power gives a float; an array of powers gives an array.
+    """
+    if not 0 < n0 < np.inf:
+        raise ValueError("noise variance must be positive and finite")
+    power = np.asarray(power, dtype=float)
+    if not (np.isfinite(power) & (power >= 0)).all():
+        raise ValueError("power must be finite and nonnegative")
+    bits = 0.5 * np.log2(1.0 + power / n0)
+    return float(bits) if bits.ndim == 0 else bits
 
 
 def _divergence_rows(W: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D(W_x || q) in nats for each row x; rows and q share support."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(W > 0, W * np.log(W / q), 0.0)
-    return terms.sum(axis=1)
+    """D(W_x || q) in nats for each row x; +inf where W_xy / q_y overflows."""
+    return np.where(W > 0, W * np.log(W / q), 0.0).sum(axis=1)
+
+
+def _divergences(W: np.ndarray, r: np.ndarray):
+    """(r, D(W_x || rW) in nats per row x, I(r) in nats).
+
+    D_x overflows only if r_x*W_xy <= (rW)_y < W_xy/DBL_MAX for some y, so
+    r_x has underflowed (to 0, or to a subnormal) and adds nothing to I(r).
+    Such an input gets r_x = 0 and D_x = 0, as r_x*D_x would be NaN or inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = _divergence_rows(W, r @ W)
+        info = float(r @ d)
+    if not math.isfinite(info):
+        dead = d == np.inf
+        r, d = np.where(dead, 0.0, r), np.where(dead, 0.0, d)
+        info = float(r @ d)
+    return r, d, info
 
 
 def _ba_lagrangian(W: np.ndarray, cost: np.ndarray, s: float):
@@ -60,9 +81,8 @@ def _ba_lagrangian(W: np.ndarray, cost: np.ndarray, s: float):
     iterates = []
     prev = -np.inf
     for _ in range(BA_MAX_ITER):
-        q = r @ W
-        d = _divergence_rows(W, q)
-        objective = (float(r @ d) - s * float(r @ cost)) / LN2
+        r, d, info = _divergences(W, r)
+        objective = (info - s * float(r @ cost)) / LN2
         if not objective >= prev - 1e-10:
             raise RuntimeError("Blahut-Arimoto objective decreased during iteration")
         iterates.append(objective)
@@ -75,9 +95,8 @@ def _ba_lagrangian(W: np.ndarray, cost: np.ndarray, s: float):
         log_w -= log_w.max()
         r = np.exp(log_w)
         r /= r.sum()
-    q = r @ W
-    info_bits = float(r @ _divergence_rows(W, q)) / LN2
-    return r, info_bits, float(r @ cost), iterates
+    r, _, info = _divergences(W, r)
+    return r, info / LN2, float(r @ cost), iterates
 
 
 def _restricted_capacity(W: np.ndarray, support: np.ndarray):
@@ -159,5 +178,5 @@ def dm_capacity_with_cost(
         r = theta * r + (1.0 - theta) * r_min
         cost_r = float(r @ cost)
 
-    info = float(r @ _divergence_rows(W, r @ W)) / LN2
-    return CapacityResult(info, Pmf(np.maximum(r, 0.0)), cost_r, s, iterates)
+    r, _, info = _divergences(W, r)
+    return CapacityResult(info / LN2, Pmf(np.maximum(r, 0.0)), cost_r, s, iterates)

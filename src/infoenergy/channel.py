@@ -128,8 +128,8 @@ class AwgnSpec:
     n0: float
 
     def __post_init__(self):
-        if not self.n0 > 0:
-            raise ValueError("noise variance must be positive")
+        if not 0 < self.n0 < np.inf:
+            raise ValueError("noise variance must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -316,7 +316,7 @@ def simulate_mac_energy(cb1: Codebook, cb2: Codebook, sampler, b, b_target: floa
         rng = _trial_rng(seed, t)
         m1 = int(rng.integers(cb1.message_count))
         m2 = int(rng.integers(cb2.message_count))
-        bn[t] = energy(sampler.sample(x1[m1], x2[m2], rng)).mean()
+        bn[t] = energy(sampler.sample(x1[m1], x2[m2], rng)).sum() / cb1.n
 
     se = float(bn.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return SimReport(cb1.n, trials, seed, float(bn.mean()),
@@ -372,9 +372,9 @@ def simulate_mhc_harvest(cb1: Codebook, sampler, relay, b, p2_budget: float,
     for t in range(trials):
         rng = _trial_rng(seed, t)
         m = int(rng.integers(cb1.message_count))
-        harvested[t] = energy(sampler.sample(x1[m], rng)).mean()
+        harvested[t] = energy(sampler.sample(x1[m], rng)).sum() / cb1.n
         x2 = relay.transmit(harvested[t] + p2_budget, cb1.n, rng)
-        if float(np.mean(np.square(x2))) > harvested[t] + p2_budget + COST_SLACK:
+        if np.square(x2).sum() / cb1.n > harvested[t] + p2_budget + COST_SLACK:
             violations += 1
 
     se = float(harvested.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

@@ -67,8 +67,8 @@ class MacProblem:
         n1, n2, ny = self.channel.transition.shape
         if len(self.c1) != n1 or len(self.c2) != n2 or len(self.b) != ny:
             raise ValueError("cost/energy tables do not match the channel alphabets")
-        if self.p1_budget < 0 or self.p2_budget < 0 or self.b_target < 0:
-            raise ValueError("budgets and energy target must be nonnegative")
+        if not all(0 <= v < np.inf for v in (self.p1_budget, self.p2_budget, self.b_target)):
+            raise ValueError("budgets and energy target must be finite and nonnegative")
 
     def with_target(self, b_target: float) -> "MacProblem":
         return MacProblem(self.channel, self.c1, self.c2, self.b,
@@ -594,8 +594,8 @@ class GaussianMacSolution:
 
 def gaussian_unconstrained_sum_rate(power: float) -> float:
     """Max sum rate 0.5*log2(1 + 2P) with no energy floor."""
-    if power < 0:
-        raise ValueError("power must be nonnegative")
+    if not 0 <= power < np.inf:
+        raise ValueError("power must be finite and nonnegative")
     return 0.5 * float(np.log2(1.0 + 2.0 * power))
 
 
@@ -610,8 +610,8 @@ def gaussian_mac_timeshare(power: float, b_target: float) -> GaussianMacSolution
     smallest energy share a 6-digit CSV still shows), meets B and P exactly,
     and its own rate r_sum is within 1e-6 * 0.5*log2(1+2P) bits of it.
     """
-    if power < 0 or b_target < 0:
-        raise ValueError("power and energy target must be nonnegative")
+    if not (0 <= power < np.inf and 0 <= b_target < np.inf):
+        raise ValueError("power and energy target must be finite and nonnegative")
     if b_target > 4.0 * power + 1.0 + FEAS_TOL:
         return GaussianMacSolution(0.0, 0.0, 0.0, 0.0, feasible=False)
     if b_target <= 2.0 * power + 1.0 + 1e-12:

@@ -3,11 +3,12 @@
 The end-to-end rate is the smaller of the first-hop mutual information and
 the second-hop capacity, where the relay's transmit budget is its own supply
 plus the mean energy it harvests from the first hop.  The first-hop input
-pmf is searched on a simplex grid and then on one scale ladder around the
-best point so far, keeping a single running best; the second hop is the
-cost-constrained capacity solver (discrete hop, pruned by that running best)
-or the closed Gaussian form (scored as one vectorised block per stage).
-The four-level worked example is solved exactly as a scalar max-min.
+pmf is searched on a simplex grid of at most MHC_MAX_ROWS rows and then on
+one scale ladder around the best point so far, keeping a single running
+best.  One budget-ordered scan, pruned by that running best, serves both
+kinds of second hop: only _second_hop_capacity tells the cost-constrained
+discrete solver from the closed Gaussian form.  The four-level worked
+example is solved exactly as a scalar max-min.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ import numpy as np
 from .capacity import awgn_capacity, dm_capacity_with_cost
 from .channel import (AwgnSpec, CostFn, DmChannel, EnergyFn, InfeasibleError,
                       Pmf)
-from .mac_region import _ladder_candidates, simplex_grid
+from .mac_region import _ladder_candidates, _steps_for, simplex_grid
 from .metrics import entropy_bits
 
 FEAS_TOL = 1e-9
 MHC_STEPS = 65  # simplex grid for the first-hop input pmf
+# Row cap on that grid: the 5-symbol, 65-step count.  Wider first hops get
+# fewer steps instead of a grid that grows as steps**(symbols - 1).
+MHC_MAX_ROWS = 814_385
 MHC_REFINE_FACTOR = 8  # ladder scales shrink by this factor per pass
 MHC_REFINE_PASSES = 1
 
@@ -52,8 +56,8 @@ class MhcProblem:
                 raise ValueError("hop 2 must be point to point")
             if self.c2 is not None and len(self.c2) != len(self.hop2.input_alphabets[0]):
                 raise ValueError("c2 does not match the hop-2 input alphabet")
-        if self.p1_budget < 0 or self.p2_budget < 0:
-            raise ValueError("budgets must be nonnegative")
+        if not (0 <= self.p1_budget < np.inf and 0 <= self.p2_budget < np.inf):
+            raise ValueError("budgets must be finite and nonnegative")
 
 
 @dataclass
@@ -62,18 +66,17 @@ class MhcSolution:
     input_pmf: Pmf
     harvested_budget: float
     relay_pmf: Pmf | None = None
-    relay_power: float | None = None
 
 
 def _second_hop_capacity(prob: MhcProblem, budget: float):
-    """(bits, relay pmf or None, relay power or None) for a given budget."""
+    """(bits, relay pmf or None) for a given relay budget."""
     if isinstance(prob.hop2, AwgnSpec):
-        return awgn_capacity(budget, prob.hop2.n0), None, budget
+        return awgn_capacity(budget, prob.hop2.n0), None
     try:
         res = dm_capacity_with_cost(prob.hop2, prob.c2, budget)
     except InfeasibleError:
-        return 0.0, None, None
-    return res.capacity_bits, res.input_pmf, None
+        return 0.0, None
+    return res.capacity_bits, res.input_pmf
 
 
 def mhc_capacity(prob: MhcProblem) -> MhcSolution:
@@ -81,10 +84,13 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
 
     For each candidate p(x1) the value is min(I(X1;Y1), second-hop capacity
     at budget E[b(Y1)] + P2).  Candidates come from a MHC_STEPS simplex grid,
-    then from MHC_REFINE_PASSES scale ladders around the running best.  A
-    discrete second hop is solved per candidate in decreasing budget order:
-    its capacity does not fall as the budget grows, so the scan stops at the
-    first capacity that cannot beat the running best or that binds the min.
+    with fewer steps where that grid would exceed MHC_MAX_ROWS rows, then
+    from MHC_REFINE_PASSES scale ladders around the running best.  One scan
+    serves a discrete and a Gaussian second hop alike: each stage takes its
+    candidates in decreasing budget order and solves the second hop where
+    I(X1;Y1) beats every earlier candidate.  The second-hop capacity does
+    not fall as the budget grows, so the scan stops at the first capacity
+    that cannot beat the running best or that binds the min.
     """
     W1 = prob.hop1.transition
     c1 = prob.c1.values
@@ -93,46 +99,33 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
             f"budget {prob.p1_budget} is below the cheapest hop-1 symbol cost {c1.min()}")
     beta = W1 @ prob.b.values  # mean harvested energy per input symbol
     h_rows = entropy_bits(W1)
-    grid = simplex_grid(W1.shape[0], MHC_STEPS)
+    n1 = W1.shape[0]
+    grid = simplex_grid(n1, min(MHC_STEPS, _steps_for(n1, MHC_MAX_ROWS)))
+    # The cheapest vertex is within budget, so every stage has a candidate.
     best_val, p1 = -np.inf, None
     for stage in range(MHC_REFINE_PASSES + 1):
         cands = _ladder_candidates(grid, p1, stage, MHC_REFINE_FACTOR)
         cands = cands[cands @ c1 <= prob.p1_budget + FEAS_TOL]
-        if cands.shape[0] == 0:
-            continue
         i1 = entropy_bits(cands @ W1) - cands @ h_rows
         budgets = cands @ beta + prob.p2_budget
-        if isinstance(prob.hop2, AwgnSpec):
-            g = awgn_capacity_vec(budgets, prob.hop2.n0)
-            vals = np.minimum(i1, g)
-            # Among value ties, keep headroom in the slack term so later
-            # refinement can trade it against the binding one.
-            near = vals >= vals.max() - 1e-12
-            j = int(np.argmax(np.where(near, i1 + g, -np.inf)))
-            if vals[j] > best_val:
-                best_val, p1 = float(vals[j]), cands[j]
-            continue
-        for j in np.argsort(-budgets):
-            if i1[j] <= best_val:
-                continue
+        order = np.argsort(-budgets)
+        # The scan goes on only past a candidate whose i1 became best_val, so
+        # only an i1 above every earlier one (and the last stage's best) can
+        # raise best_val: the second hop is solved at those records alone.
+        i1_sorted = i1[order]
+        i1_seen = np.maximum.accumulate(np.concatenate(([best_val], i1_sorted[:-1])))
+        for j in order[i1_sorted > i1_seen]:
             g = _second_hop_capacity(prob, float(budgets[j]))[0]
             if g <= best_val:
                 break  # budgets only shrink from here on
             best_val, p1 = min(float(i1[j]), g), cands[j]  # both terms beat it
             if g <= i1[j]:
                 break  # hop 2 binds, and no later budget buys more of it
-    if p1 is None:
-        raise InfeasibleError("no input pmf satisfies the hop-1 cost budget")
 
     budget = float(p1 @ beta) + prob.p2_budget
-    bits2, relay_pmf, relay_power = _second_hop_capacity(prob, budget)
+    bits2, relay_pmf = _second_hop_capacity(prob, budget)
     cap = min(float(entropy_bits(p1 @ W1) - p1 @ h_rows), bits2)
-    return MhcSolution(max(cap, 0.0), Pmf(np.maximum(p1, 0.0)), budget,
-                       relay_pmf, relay_power)
-
-
-def awgn_capacity_vec(powers: np.ndarray, n0: float) -> np.ndarray:
-    return 0.5 * np.log2(1.0 + np.maximum(powers, 0.0) / n0)
+    return MhcSolution(max(cap, 0.0), Pmf(np.maximum(p1, 0.0)), budget, relay_pmf)
 
 
 def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:
@@ -158,7 +151,7 @@ def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:
     budgets = g1 @ (W1 @ prob.b.values) + prob.p2_budget
 
     if isinstance(prob.hop2, AwgnSpec):
-        return float(np.max(np.minimum(i1, awgn_capacity_vec(budgets, prob.hop2.n0))))
+        return float(np.max(np.minimum(i1, awgn_capacity(budgets, prob.hop2.n0))))
 
     W2 = prob.hop2.transition
     g2 = simplex_grid(W2.shape[0], steps)
@@ -206,14 +199,16 @@ def mhc_example_capacity(p1_budget: float, p2_budget: float, n0: float):
     else p_max if H4 there covers the capacity, else the crossing, found by
     bisection.  Returns (capacity bits, maximizing p).
     """
-    if n0 <= 0:
-        raise ValueError("noise variance must be positive")
+    if not 0 < n0 < np.inf:
+        raise ValueError("noise variance must be positive and finite")
+    if not (np.isfinite(p1_budget) and 0 <= p2_budget < np.inf):
+        raise ValueError("budgets must be finite and P2 nonnegative")
     if p1_budget < 1.0 - 1e-12:
         raise InfeasibleError("hop-1 budget below the minimum mean cost 6p+1 >= 1")
     p_max = min(0.5, max(float(p1_budget) - 1.0, 0.0) / 6.0)
 
     def terms(ps):
-        return symmetric_input_entropy(ps), awgn_capacity_vec(p2_budget + 6.0 * ps + 1.0, n0)
+        return symmetric_input_entropy(ps), awgn_capacity(p2_budget + 6.0 * ps + 1.0, n0)
 
     def gap(p):
         """H4(p) minus the hop capacity, on scalars strictly inside (0, 1/2)."""

@@ -13,12 +13,19 @@ class TestAwgnCapacity:
         assert ie.awgn_capacity(4.0, 1.0) == pytest.approx(1.1610, abs=5e-5)
         assert ie.awgn_capacity(0.0, 1.0) == 0.0
         assert ie.awgn_capacity(3.0, 1.0) == pytest.approx(1.0)
+        np.testing.assert_array_equal(
+            ie.awgn_capacity(np.array([4.0, 0.0, 3.0]), 1.0),
+            [ie.awgn_capacity(4.0, 1.0), 0.0, ie.awgn_capacity(3.0, 1.0)])
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             ie.awgn_capacity(1.0, 0.0)
         with pytest.raises(ValueError):
             ie.awgn_capacity(-0.1, 1.0)
+        for power, n0 in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf),
+                          (np.array([1.0, np.nan]), 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                ie.awgn_capacity(power, n0)
 
 
 class TestDmCapacityWithCost:
@@ -81,6 +88,31 @@ class TestDmCapacityWithCost:
                             lambda W, q: real(W, q) - next(shift))
         with pytest.raises(RuntimeError, match="decreased"):
             ie.dm_capacity_with_cost(make_bsc(0.11))
+
+    def test_underflowed_input_reaching_its_own_output(self):
+        # The 1000-cost symbol's mass underflows to 0 while it alone reaches
+        # its output, so its divergence is infinite and 0*inf = NaN.
+        ch = ie.DmChannel.noiseless(ie.Alphabet([0.0, 1.0, 2.0]))
+        res = ie.dm_capacity_with_cost(ch, ie.CostFn([0.0, 1.0, 1000.0]), 0.5)
+        assert res.capacity_bits == pytest.approx(1.00003, abs=1e-5)
+        assert res.expected_cost <= 0.5 + 1e-9
+        assert np.isfinite(res.iterates).all()
+
+    def test_sparse_channel_fuzz_never_raises(self):
+        """Exclusive outputs and large multipliers drive input masses below
+        the float range, down to subnormals whose products underflow."""
+        from infoenergy import capacity
+
+        rng = np.random.default_rng(1210)
+        for _ in range(300):
+            n, m = rng.integers(2, 5, size=2)
+            W = rng.uniform(size=(n, m)) * (rng.uniform(size=(n, m)) < 0.3)
+            W[np.arange(n), rng.integers(m, size=n)] = 1.0
+            W /= W.sum(axis=1, keepdims=True)
+            s = float(10.0 ** rng.uniform(1, 4))
+            r, info, cost, its = capacity._ba_lagrangian(W, rng.uniform(size=n), s)
+            assert r.min() >= 0 and r.sum() == pytest.approx(1.0)
+            assert np.isfinite([info, cost, *its]).all()
 
     def test_constraint_active_or_interior(self):
         rng = np.random.default_rng(22)

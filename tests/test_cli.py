@@ -7,7 +7,7 @@ import pytest
 
 import infoenergy as ie
 from infoenergy.cli import run
-from conftest import negative_entry_doc
+from conftest import binary_entropy, negative_entry_doc
 
 
 def write_adder_file(path):
@@ -22,12 +22,12 @@ def write_adder_file(path):
     return str(path)
 
 
-def write_bsc_file(path, crossover=0.11, energy=(0.0, 1.0)):
+def write_bsc_file(path, crossover=0.11, energy=(0.0, 1.0), cost=(0.0, 0.0)):
     doc = {
         "input_alphabets": [[0.0, 1.0]],
         "output_alphabet": [0.0, 1.0],
         "transition": [[1 - crossover, crossover], [crossover, 1 - crossover]],
-        "cost": [[0.0, 0.0]],
+        "cost": [list(cost)],
         "energy": list(energy),
     }
     path.write_text(json.dumps(doc))
@@ -143,6 +143,24 @@ class TestMhcCommand:
         want = ie.mhc_capacity(prob).capacity_bits
         assert doc["capacity_bits"] == pytest.approx(want, abs=1e-9)
         assert len(doc["input_pmf"]) == 2
+
+    def test_relay_budget_starves_a_costly_symbol(self, tmp_path):
+        # Hop-2 symbol 2 costs 1000; its relay mass underflows to 0 while
+        # it alone reaches its output, which Blahut-Arimoto must survive.
+        hop1 = write_bsc_file(tmp_path / "hop1.json", crossover=0.1, cost=(0.0, 1.0))
+        hop2 = tmp_path / "hop2.json"
+        hop2.write_text(json.dumps({
+            "input_alphabets": [[0.0, 1.0, 2.0]],
+            "output_alphabet": [0.0, 1.0, 2.0],
+            "transition": np.eye(3).tolist(),
+            "cost": [[0.0, 1.0, 1000.0]],
+            "energy": [0.0, 0.0, 0.0],
+        }))
+        out = tmp_path / "mhc.json"
+        assert run(["mhc", "--channel", hop1, "--channel", str(hop2),
+                    "--P1", "0.5", "--P2", "0.2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert 0.0 < doc["capacity_bits"] <= 1.0 - binary_entropy(0.1) + 1e-9
 
     def test_single_channel_invalid(self, tmp_path):
         hop1 = write_bsc_file(tmp_path / "hop1.json")

@@ -108,6 +108,11 @@ class TestMacBoundaryPoint:
             ie.mac_boundary_point(prob, 0.0, 0.0)
         with pytest.raises(ValueError):
             ie.mac_boundary_point(prob, 1.0, 1.0, q_size=6)
+        for field in ("p1_budget", "p2_budget", "b_target"):
+            for bad in (np.nan, np.inf):
+                args = {"p1_budget": 0.0, "p2_budget": 0.0, "b_target": 0.0, field: bad}
+                with pytest.raises(ValueError, match="finite"):
+                    ie.MacProblem(prob.channel, prob.c1, prob.c2, prob.b, **args)
 
 
 class TestMacRegionSweep:
@@ -322,6 +327,13 @@ class TestGaussianMac:
         assert sol.lam == 0.0
         assert sol.p_prime == 0.0
         assert sol.p_dprime == pytest.approx(1.0)
+
+    def test_rejects_non_finite_arguments(self):
+        for power, b_target in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                ie.gaussian_mac_timeshare(power, b_target)
+        with pytest.raises(ValueError, match="finite"):
+            ie.gaussian_unconstrained_sum_rate(np.nan)
 
     def test_infeasible_beyond_max_energy(self):
         sol = ie.gaussian_mac_timeshare(1.0, 5.1)

@@ -75,6 +75,36 @@ class TestMhcCapacity:
         with pytest.raises(ie.InfeasibleError):
             ie.mhc_capacity(prob)
 
+    def test_rejects_non_finite_budgets(self):
+        prob = make_dm_dm_instance("no-harvest")
+        for p1, p2 in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                ie.MhcProblem(prob.hop1, prob.hop2, prob.c1, prob.c2, prob.b, p1, p2)
+
+    def test_first_hop_grid_row_cap(self, monkeypatch):
+        """A 6-symbol first hop gets a coarser grid, not one of 11.2M rows."""
+        from math import comb
+
+        from infoenergy import multihop
+
+        real = multihop.simplex_grid
+        cap = comb(65 - 1 + 4, 4)  # the 5-symbol, 65-step grid
+
+        def capped(dim, steps):
+            rows = comb(steps - 1 + dim - 1, dim - 1)
+            assert rows <= cap, f"{rows} grid rows requested"
+            return real(dim, steps)
+
+        monkeypatch.setattr(multihop, "simplex_grid", capped)
+        levels = ie.Alphabet(np.arange(6.0))
+        hop1 = ie.DmChannel.point_to_point(levels, levels, 0.9 * np.eye(6) + 0.1 / 6)
+        prob = ie.MhcProblem(hop1, ie.AwgnSpec(1.0), ie.CostFn(np.arange(6.0)), None,
+                             ie.EnergyFn(np.arange(6.0)), 1.0, 0.5)
+        sol = ie.mhc_capacity(prob)
+        assert sol.input_pmf.probs @ np.arange(6.0) <= 1.0 + 1e-9
+        assert 0.0 < sol.capacity_bits <= ie.dm_capacity_with_cost(
+            hop1, prob.c1, 1.0).capacity_bits + 1e-9
+
     def test_matches_scalar_example_solver(self):
         for n0 in (0.1, 1.0, 4.0, 16.0):
             sol = ie.mhc_capacity(ie.example_problem(4.0, 0.0, n0))
@@ -123,6 +153,28 @@ class TestCutsetOracle:
         cutset = ie.cutset_joint_oracle(prob, steps=21)
         assert nested == pytest.approx(cutset, abs=0.05)
 
+    @pytest.mark.parametrize("n1", [2, 3])
+    @pytest.mark.parametrize("n0", [0.05, 1.0, 10.0])
+    def test_gaussian_hop_behind_noisy_first_hop(self, n1, n0):
+        """The nested solver reaches the coarser joint grid's value, and its
+        reported pmf, budget and capacity are consistent with one another."""
+        levels = ie.Alphabet(np.arange(float(n1)))
+        W1 = 0.8 * np.eye(n1) + 0.2 / n1
+        squares = np.arange(float(n1)) ** 2
+        prob = ie.MhcProblem(ie.DmChannel.point_to_point(levels, levels, W1),
+                             ie.AwgnSpec(n0), ie.CostFn(squares), None,
+                             ie.EnergyFn(squares), 1.5, 0.2)
+        sol = ie.mhc_capacity(prob)
+        cutset = ie.cutset_joint_oracle(prob, steps=21)
+        assert cutset - 1e-9 <= sol.capacity_bits <= cutset + 1e-2
+        p = sol.input_pmf.probs
+        assert p @ squares <= 1.5 + 1e-9
+        assert sol.harvested_budget == pytest.approx(p @ W1 @ squares + 0.2, abs=1e-12)
+        i1 = ie.mutual_information(sol.input_pmf, prob.hop1)
+        want = min(i1, ie.awgn_capacity(sol.harvested_budget, n0))
+        assert sol.capacity_bits == pytest.approx(want, abs=1e-12)
+        assert sol.relay_pmf is None
+
     def test_decoupled_equals_separate_maxima(self):
         prob = make_dm_dm_instance("no-harvest")
         got = ie.cutset_joint_oracle(prob, steps=21)
@@ -170,6 +222,12 @@ class TestExampleCapacity:
     def test_infeasible_budget(self):
         with pytest.raises(ie.InfeasibleError):
             ie.mhc_example_capacity(0.5, 0.0, 1.0)
+
+    def test_rejects_non_finite_parameters(self):
+        for args in ((np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0), (4.0, np.nan, 1.0),
+                     (4.0, np.inf, 1.0), (4.0, 0.0, np.nan), (4.0, 0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                ie.mhc_example_capacity(*args)
 
     def test_interior_crossing_balances_both_terms(self):
         # At N0 = 0.5 the hop capacity at p = 1/4 falls short of H4 = 2 and
