@@ -116,8 +116,9 @@ def dm_capacity_with_cost(
 ) -> CapacityResult:
     """Cost-constrained capacity max I(X;Y) s.t. E[c(X)] <= budget.
 
-    Pass c=None (or budget=None) for the unconstrained capacity.  Raises
-    InfeasibleError when the budget is below the cheapest symbol.
+    Pass c=None (or budget=None or +inf) for the unconstrained capacity.
+    Raises InfeasibleError when the budget is below the cheapest symbol and
+    ValueError when it is NaN.
     """
     if ch.is_mac:
         raise AlphabetMismatchError("expected a point-to-point channel")
@@ -130,6 +131,8 @@ def dm_capacity_with_cost(
             raise AlphabetMismatchError("cost table does not match input alphabet")
         cost = c.values
         budget_eff = float(budget)
+        if np.isnan(budget_eff):
+            raise ValueError("cost budget is NaN")
 
     min_cost = float(cost.min())
     if budget_eff < min_cost - 1e-12:

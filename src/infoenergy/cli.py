@@ -2,6 +2,8 @@
 
 One subcommand per reproduction artifact, each a pure function of its flags,
 input file, and seed: rerunning an invocation writes byte-identical output.
+Each subcommand loads its channel files, solves, and returns its output text;
+`run` writes that text to --out or stdout.
 Exit codes: 0 success, 2 invalid arguments, 3 infeasible problem, 4 malformed
 channel file.
 """
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,28 +29,17 @@ REGION_WEIGHTS = ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 MAX_STEPS = 10_000
 
 
-@dataclass
-class RunConfig:
-    """Validated sweep range shared by the sweep subcommands."""
-
-    lo: float
-    hi: float
-    steps: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"range minimum {self.lo} exceeds maximum {self.hi}")
-        if not 2 <= self.steps <= MAX_STEPS:
-            raise ValueError(f"sweeps need 2 <= --steps <= {MAX_STEPS}, got {self.steps}")
-
-    def grid(self):
-        return np.linspace(self.lo, self.hi, self.steps)
+def _sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    """The checked sweep range as `steps` evenly spaced points."""
+    if lo > hi:
+        raise ValueError(f"range minimum {lo} exceeds maximum {hi}")
+    if not 2 <= steps <= MAX_STEPS:
+        raise ValueError(f"sweeps need 2 <= --steps <= {MAX_STEPS}, got {steps}")
+    return np.linspace(lo, hi, steps)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer)):  # bools too, as 0 and 1
         return str(int(x))
     return format(float(x), ".6g")
 
@@ -74,8 +64,12 @@ def _positive(text: str) -> int:
     return value
 
 
-def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
+def _table(header: str, rows) -> str:
+    """CSV text: the header line, then one line of formatted values per row."""
+    return "\n".join([header] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -142,125 +136,89 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_single_mac(paths):
-    if not paths or len(paths) != 1:
-        raise ValueError("this command needs exactly one --channel file")
-    ch, costs, energy = load_channel_file(paths[0])
-    if not ch.is_mac:
-        raise ChannelFormatError(f"{paths[0]}: expected a two-input channel")
-    return ch, costs, energy
+def _channels(paths, count: int, mac: bool):
+    """(channel, costs, energy) from exactly `count` --channel files of one kind."""
+    if len(paths or ()) != count:
+        raise ValueError(f"this command needs --channel exactly {count} time(s), "
+                         f"got {len(paths or ())}")
+    loaded = [load_channel_file(path) for path in paths]
+    for path, (ch, _, _) in zip(paths, loaded):
+        if ch.is_mac != mac:
+            kind = "a two-input" if mac else "a point-to-point"
+            raise ChannelFormatError(f"{path}: expected {kind} channel")
+    return loaded
 
 
 def _cmd_gaussian_mac(args):
     b_max = args.b_max if args.b_max is not None else 4.0 * args.P + 1.0
-    cfg = RunConfig(args.b_min, b_max, args.steps)
-    rows = gaussian_mac_sweep([args.P], cfg.grid())
-    lines = ["P,B,R_timeshare,lambda,P_prime,P_dprime,R_no_ts,feasible"]
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in (
-            r.power, r.b_target, r.r_timeshare, r.lam, r.p_prime,
-            r.p_dprime, r.r_no_ts, r.feasible)))
-    _emit(lines, args.out)
-    return 0
+    rows = gaussian_mac_sweep([args.P], _sweep_grid(args.b_min, b_max, args.steps))
+    return _table("P,B,R_timeshare,lambda,P_prime,P_dprime,R_no_ts,feasible", [
+        (r.power, r.b_target, r.r_timeshare, r.lam, r.p_prime, r.p_dprime, r.r_no_ts,
+         r.feasible) for r in rows])
 
 
 def _cmd_mac_region(args):
-    ch, costs, energy = _load_single_mac(args.channel)
+    [(ch, costs, energy)] = _channels(args.channel, 1, mac=True)
     b_max = args.b_max if args.b_max is not None else 0.0
-    cfg = RunConfig(args.b_min, b_max, args.steps)
+    grid = _sweep_grid(args.b_min, b_max, args.steps)
     prob = MacProblem(ch, costs[0], costs[1], energy, args.P1, args.P2)
-    rows = mac_region_sweep(prob, cfg.grid(), REGION_WEIGHTS, q_size=args.q_size)
-    lines = ["B,w1,w2,R1,R2,EbY,feasible"]
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in (
-            r.b_target, r.w1, r.w2, r.r1, r.r2, r.eb, r.feasible)))
-    _emit(lines, args.out)
-    return 0
+    rows = mac_region_sweep(prob, grid, REGION_WEIGHTS, q_size=args.q_size)
+    return _table("B,w1,w2,R1,R2,EbY,feasible", [
+        (r.b_target, r.w1, r.w2, r.r1, r.r2, r.eb, r.feasible) for r in rows])
 
 
 def _cmd_mhc(args):
-    if not args.channel or len(args.channel) != 2:
-        raise ValueError("mhc needs --channel twice: first hop, then second hop")
-    hop1, costs1, energy = load_channel_file(args.channel[0])
-    hop2, costs2, _ = load_channel_file(args.channel[1])
-    if hop1.is_mac or hop2.is_mac:
-        raise ChannelFormatError("mhc hops must be point-to-point channels")
-    prob = MhcProblem(hop1, hop2, costs1[0], costs2[0], energy, args.P1, args.P2)
-    sol = mhc_capacity(prob)
-    doc = {
+    (hop1, costs1, energy), (hop2, costs2, _) = _channels(args.channel, 2, mac=False)
+    sol = mhc_capacity(MhcProblem(hop1, hop2, costs1[0], costs2[0], energy, args.P1, args.P2))
+    return json.dumps({
         "capacity_bits": float(sol.capacity_bits),
         "harvested_budget": float(sol.harvested_budget),
-        "input_pmf": [float(v) for v in sol.input_pmf.probs],
-        "relay_pmf": ([float(v) for v in sol.relay_pmf.probs]
-                      if sol.relay_pmf is not None else None),
-    }
-    _emit([json.dumps(doc, indent=2)], args.out)
-    return 0
+        "input_pmf": sol.input_pmf.probs.tolist(),
+        "relay_pmf": sol.relay_pmf.probs.tolist() if sol.relay_pmf is not None else None,
+    }, indent=2) + "\n"
 
 
 def _cmd_mhc_example(args):
-    cfg = RunConfig(args.snr_min, args.snr_max, args.steps)
-    rows = relay_snr_sweep(args.P1, args.P2, cfg.grid(), snr_log10=args.snr_log10)
-    lines = ["snr,N0,capacity_bits,p_star"]
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in (r.snr, r.n0, r.capacity_bits, r.p_star)))
-    _emit(lines, args.out)
-    return 0
-
-
-def _report_lines(report):
-    lines = ["n,trials,seed,mean_bn,viol_freq,err_rate,relay_viol_freq"]
-    lines.append(",".join(_fmt(v) for v in (
-        report.n, report.trials, report.seed, report.mean_bn,
-        report.viol_freq, report.err_rate, report.relay_viol_freq)))
-    return lines
+    grid = _sweep_grid(args.snr_min, args.snr_max, args.steps)
+    rows = relay_snr_sweep(args.P1, args.P2, grid, snr_log10=args.snr_log10)
+    return _table("snr,N0,capacity_bits,p_star",
+                  [(r.snr, r.n0, r.capacity_bits, r.p_star) for r in rows])
 
 
 def _cmd_simulate_mac(args):
     b_target = args.b_min
     eps = args.eps if args.eps is not None else 0.05 * b_target
     if args.channel:
-        ch, _, energy = _load_single_mac(args.channel)
-        pol1 = Pmf.uniform(len(ch.input_alphabets[0]))
-        pol2 = Pmf.uniform(len(ch.input_alphabets[1]))
-        rate = 4.0 / args.n
-        cb1 = generate_codebook(pol1, args.n, rate, alphabet=ch.input_alphabets[0],
-                                seed=args.seed)
-        cb2 = generate_codebook(pol2, args.n, rate, alphabet=ch.input_alphabets[1],
-                                seed=args.seed + 1)
+        [(ch, _, energy)] = _channels(args.channel, 1, mac=True)
+        cb1, cb2 = (generate_codebook(Pmf.uniform(len(alphabet)), args.n, 4.0 / args.n,
+                                      alphabet=alphabet, seed=args.seed + k)
+                    for k, alphabet in enumerate(ch.input_alphabets))
         sampler, b = DmMacSampler(ch), energy
     else:
         policy = GaussianPhasePolicy(0.0, 0.0, args.P)
         cb1, cb2 = generate_mac_codebooks(policy, args.n, 0.0, 0.0, seed=args.seed)
         sampler, b = GaussianMacSampler(1.0), np.square
-    report = simulate_mac_energy(cb1, cb2, sampler, b, b_target, eps,
-                                 args.trials, args.seed)
-    _emit(_report_lines(report), args.out)
-    return 0
+    r = simulate_mac_energy(cb1, cb2, sampler, b, b_target, eps, args.trials, args.seed)
+    return _table("n,trials,seed,mean_bn,viol_freq,err_rate,relay_viol_freq", [
+        (r.n, r.trials, r.seed, r.mean_bn, r.viol_freq, r.err_rate, r.relay_viol_freq)])
 
 
 def _cmd_simulate_mhc(args):
     if args.channel:
-        if len(args.channel) != 1:
-            raise ValueError("simulate-mhc takes at most one --channel (the first hop)")
-        hop1, costs, energy = load_channel_file(args.channel[0])
-        if hop1.is_mac:
-            raise ChannelFormatError("the first hop must be point to point")
+        [(hop1, costs, energy)] = _channels(args.channel, 1, mac=False)
         cost1 = costs[0]
     else:
         from .multihop import example_problem
         prob = example_problem(args.P1, args.P2, 1.0)
         hop1, cost1, energy = prob.hop1, prob.c1, prob.b
-    pmf = Pmf.uniform(len(hop1.input_alphabets[0]))
     # 16 codewords so the harvested average is not pinned to one draw
-    cb1 = generate_codebook(pmf, args.n, 4.0 / args.n,
-                            alphabet=hop1.input_alphabets[0],
+    cb1 = generate_codebook(Pmf.uniform(len(hop1.input_alphabets[0])), args.n,
+                            4.0 / args.n, alphabet=hop1.input_alphabets[0],
                             cost=cost1, budget=args.P1, seed=args.seed)
-    report = simulate_mhc_harvest(cb1, DmPointToPointSampler(hop1),
-                                  ScalingGaussianRelay(), energy, args.P2,
-                                  args.trials, args.seed)
-    _emit(_report_lines(report), args.out)
-    return 0
+    r = simulate_mhc_harvest(cb1, DmPointToPointSampler(hop1), ScalingGaussianRelay(),
+                             energy, args.P2, args.trials, args.seed)
+    return _table("n,trials,seed,mean_bn,viol_freq,err_rate,relay_viol_freq", [
+        (r.n, r.trials, r.seed, r.mean_bn, r.viol_freq, r.err_rate, r.relay_viol_freq)])
 
 
 _COMMANDS = {
@@ -281,7 +239,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        _emit(_COMMANDS[args.command](args), args.out)
+        return 0
     except ChannelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

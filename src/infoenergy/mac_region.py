@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -100,20 +99,26 @@ def _simplex_grid_cached(dim: int, steps: int):
     if dim == 1:
         grid = np.ones((1, 1))
     else:
+        # Integer compositions of t, one symbol at a time: every row splits
+        # into one child per count its remainder allows, in ascending order.
         t = steps - 1
-        bars = np.array(list(combinations(range(t + dim - 1), dim - 1)), dtype=float)
-        padded = np.hstack([
-            np.full((bars.shape[0], 1), -1.0),
-            bars,
-            np.full((bars.shape[0], 1), float(t + dim - 1)),
-        ])
-        grid = (np.diff(padded, axis=1) - 1.0) / t
+        cols, left = [], np.array([t])
+        for _ in range(dim - 1):
+            reps = left + 1
+            k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+            cols = [np.repeat(c, reps) for c in cols] + [k]
+            left = np.repeat(left, reps) - k
+        grid = np.column_stack(cols + [left]) / t
     grid.setflags(write=False)
     return grid
 
 
 def simplex_grid(dim: int, steps: int) -> np.ndarray:
-    """All pmfs on `dim` symbols with entries k/(steps-1); C(steps-2+dim, dim-1) rows."""
+    """All pmfs on `dim` symbols with entries k/(steps-1), read-only and cached.
+
+    There are C(steps-2+dim, dim-1) rows, in lexicographic order of their
+    entries, each exactly its integer counts divided by steps-1.
+    """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     if dim > 1 and steps < 2:
@@ -414,6 +419,11 @@ def _bracket_seed(inst: _Instance, prob, w1, w2, k: int, p1e, p2e, lo, budget: i
     return q, a1, a2
 
 
+def _check_weights(w1: float, w2: float):
+    if not (0 <= w1 < np.inf and 0 <= w2 < np.inf) or w1 == w2 == 0:
+        raise ValueError("weights must be finite, nonnegative and not both zero")
+
+
 def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
                        q_size: int = 4) -> MacBoundaryResult:
     """Maximize w1*R1 + w2*R2 over time-sharing policies meeting all constraints.
@@ -425,8 +435,7 @@ def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
     """
     if not 1 <= q_size <= 5:
         raise ValueError("q_size must be between 1 and 5")
-    if w1 < 0 or w2 < 0 or (w1 == 0 and w2 == 0):
-        raise ValueError("weights must be nonnegative and not both zero")
+    _check_weights(w1, w2)
 
     try:
         e_max, p1e, p2e = max_received_energy(prob)
@@ -514,6 +523,7 @@ def brute_force_mac_oracle(prob: MacProblem, w1: float, w2: float,
     with `steps` points per dimension.  Deliberately ignorant of the ascent
     solver's search strategy; guarded to desk scale.
     """
+    _check_weights(w1, w2)
     inst = _Instance(prob)
     if inst.n1 > 3 or inst.n2 > 3:
         raise ValueError("oracle restricted to input alphabets of size <= 3")

@@ -102,7 +102,7 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     n1 = W1.shape[0]
     grid = simplex_grid(n1, min(MHC_STEPS, _steps_for(n1, MHC_MAX_ROWS)))
     # The cheapest vertex is within budget, so every stage has a candidate.
-    best_val, p1 = -np.inf, None
+    best_val, p1, record = -np.inf, None, None
     for stage in range(MHC_REFINE_PASSES + 1):
         cands = _ladder_candidates(grid, p1, stage, MHC_REFINE_FACTOR)
         cands = cands[cands @ c1 <= prob.p1_budget + FEAS_TOL]
@@ -115,15 +115,19 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
         i1_sorted = i1[order]
         i1_seen = np.maximum.accumulate(np.concatenate(([best_val], i1_sorted[:-1])))
         for j in order[i1_sorted > i1_seen]:
-            g = _second_hop_capacity(prob, float(budgets[j]))[0]
+            budget = float(budgets[j])
+            g, relay_pmf = _second_hop_capacity(prob, budget)
             if g <= best_val:
                 break  # budgets only shrink from here on
-            best_val, p1 = min(float(i1[j]), g), cands[j]  # both terms beat it
+            # Both terms beat it; the record keeps its second-hop solve.
+            best_val, p1, record = min(float(i1[j]), g), cands[j], (budget, g, relay_pmf)
             if g <= i1[j]:
                 break  # hop 2 binds, and no later budget buys more of it
 
     budget = float(p1 @ beta) + prob.p2_budget
-    bits2, relay_pmf = _second_hop_capacity(prob, budget)
+    record_budget, bits2, relay_pmf = record
+    if budget != record_budget:  # the scan's matrix product may round differently
+        bits2, relay_pmf = _second_hop_capacity(prob, budget)
     cap = min(float(entropy_bits(p1 @ W1) - p1 @ h_rows), bits2)
     return MhcSolution(max(cap, 0.0), Pmf(np.maximum(p1, 0.0)), budget, relay_pmf)
 

@@ -66,6 +66,19 @@ class TestDmCapacityWithCost:
         with pytest.raises(ie.InfeasibleError):
             ie.dm_capacity_with_cost(ch, c, 0.5)
 
+    def test_nan_budget_raises(self):
+        bits = ie.Alphabet([0.0, 1.0])
+        ch = ie.DmChannel.point_to_point(bits, bits, [[0.9, 0.1], [0.2, 0.8]])
+        c = ie.CostFn([0.0, 1.0])
+        with pytest.raises(ValueError, match="NaN"):
+            ie.dm_capacity_with_cost(ch, c, np.nan)
+        free = ie.dm_capacity_with_cost(ch)
+        for budget in (None, np.inf):
+            res = ie.dm_capacity_with_cost(ch, c, budget)
+            assert res.capacity_bits == free.capacity_bits
+        with pytest.raises(ie.InfeasibleError):
+            ie.dm_capacity_with_cost(ch, ie.CostFn([0.5, 1.0]), 0.25)
+
     def test_iterates_non_decreasing(self):
         rng = np.random.default_rng(21)
         for _ in range(10):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import infoenergy as ie
+from infoenergy import cli
 from infoenergy.cli import run
 from conftest import binary_entropy, negative_entry_doc
 
@@ -244,6 +245,51 @@ class TestSimulateCommands:
             header, row = out.read_text().strip().split("\n")
             for name, value in zip(header.split(","), row.split(",")):
                 assert (value == "nan") == (name in unmeasured), name
+
+
+def every_subcommand(tmp_path):
+    """One small channel-file or default run of each of the six subcommands."""
+    adder = write_adder_file(tmp_path / "adder.json")
+    hop1 = write_bsc_file(tmp_path / "hop1.json", crossover=0.05, energy=(0.5, 1.0),
+                          cost=(0.0, 1.0))
+    hop2 = write_bsc_file(tmp_path / "hop2.json")
+    return [
+        ["gaussian-mac", "--P", "0.5", "--steps", "4"],
+        ["mac-region", "--channel", adder, "--b-max", "2", "--steps", "2", "--q-size", "1"],
+        ["mhc", "--channel", hop1, "--channel", hop2, "--P1", "0.7", "--P2", "0.3"],
+        ["mhc-example", "--P1", "3", "--snr-log10", "--steps", "5"],
+        ["simulate-mac", "--channel", adder, "--n", "64", "--trials", "8", "--b-min", "0.9"],
+        ["simulate-mhc", "--channel", hop1, "--P1", "0.6", "--n", "64", "--trials", "8"],
+    ]
+
+
+class TestEverySubcommand:
+    def test_stdout_and_out_file_hold_the_same_bytes(self, tmp_path, capsys):
+        argvs = every_subcommand(tmp_path)
+        assert sorted(a[0] for a in argvs) == sorted(cli._COMMANDS)
+        for argv in argvs:
+            out = tmp_path / "out.txt"
+            assert run(argv + ["--out", str(out)]) == 0, argv
+            assert capsys.readouterr().out == ""
+            assert run(argv) == 0, argv
+            assert capsys.readouterr().out.encode("utf-8") == out.read_bytes(), argv
+
+    @pytest.mark.parametrize("argv, files, code", [
+        (["mhc"], ["hop1"], 2),
+        (["mac-region", "--steps", "2"], ["hop1"], 4),
+        (["simulate-mac", "--n", "8", "--trials", "2"], ["hop1"], 4),
+        (["simulate-mhc", "--n", "8", "--trials", "2"], ["adder"], 4),
+    ])
+    def test_channel_count_and_kind_errors(self, tmp_path, capsys, argv, files, code):
+        paths = {"hop1": write_bsc_file(tmp_path / "hop1.json"),
+                 "adder": write_adder_file(tmp_path / "adder.json")}
+        out = tmp_path / "never.txt"
+        flags = [f for name in files for f in ("--channel", paths[name])]
+        assert run(argv + flags + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 4:
+            assert paths[files[0]] in err  # the message names the file
+        assert not out.exists()
 
 
 class TestCliContract:

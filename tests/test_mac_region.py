@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from itertools import product
+from itertools import combinations, product
 
 import infoenergy as ie
 from conftest import make_adder_problem, make_random_mac_instance
@@ -11,6 +11,36 @@ from infoenergy import mac_region as mr
 from infoenergy.metrics import entropy_bits
 
 EQ6_P1 = 0.5 * np.log2(3.0)  # unconstrained sum rate at P = 1
+
+
+def itertools_simplex_grid(dim, steps):
+    """The stars-and-bars construction: one row per placement of dim-1 bars."""
+    if dim == 1:
+        return np.ones((1, 1))
+    t = steps - 1
+    bars = np.array(list(combinations(range(t + dim - 1), dim - 1)), dtype=float)
+    padded = np.hstack([np.full((len(bars), 1), -1.0), bars,
+                        np.full((len(bars), 1), float(t + dim - 1))])
+    return (np.diff(padded, axis=1) - 1.0) / t
+
+
+class TestSimplexGrid:
+    def test_bytes_match_itertools_construction(self):
+        cases = [(dim, steps) for dim in range(1, 6) for steps in range(2, 16)]
+        cases += [(2, 257), (3, 76), (3, 65), (4, 25), (5, 21), (6, 9)]
+        for dim, steps in cases:
+            got, want = ie.simplex_grid(dim, steps), itertools_simplex_grid(dim, steps)
+            assert got.shape == want.shape and got.dtype == want.dtype, (dim, steps)
+            assert got.tobytes() == want.tobytes(), (dim, steps)
+
+    def test_cached_read_only(self):
+        grid = ie.simplex_grid(3, 5)
+        assert grid is ie.simplex_grid(3, 5)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            ie.simplex_grid(0, 5)
+        with pytest.raises(ValueError):
+            ie.simplex_grid(2, 1)
 
 
 class TestMaxReceivedEnergy:
@@ -108,6 +138,14 @@ class TestMacBoundaryPoint:
             ie.mac_boundary_point(prob, 0.0, 0.0)
         with pytest.raises(ValueError):
             ie.mac_boundary_point(prob, 1.0, 1.0, q_size=6)
+        for w in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                ie.mac_boundary_point(prob, *w)
+            with pytest.raises(ValueError, match="finite"):
+                ie.mac_region_sweep(prob, [0.0], [w])
+        for w in ((np.nan, 1.0), (np.inf, 1.0), (-1.0, 1.0), (0.0, 0.0)):
+            with pytest.raises(ValueError, match="weights"):
+                ie.brute_force_mac_oracle(prob, *w, q_size=1, steps=3)
         for field in ("p1_budget", "p2_budget", "b_target"):
             for bad in (np.nan, np.inf):
                 args = {"p1_budget": 0.0, "p2_budget": 0.0, "b_target": 0.0, field: bad}
