@@ -1,9 +1,10 @@
 """Point-to-point channel capacity under an input cost budget.
 
-The discrete solver is Blahut-Arimoto run on the Lagrangian I(X;Y) - s*E[c(X)]
-with the multiplier s found by bisection, so the cost constraint ends up
-active or the unconstrained optimum is already within budget.  The Gaussian
-case is handled in closed form only.
+The discrete solver is one Blahut-Arimoto run whose every update is tilted
+by exp(-s*c(X)) with the least multiplier s >= 0 that keeps it within budget,
+so each iterate is feasible and the constraint ends up active unless the
+unconstrained update already fits.  The Gaussian case is handled in closed
+form only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ LN2 = float(np.log(2.0))
 
 BA_TOL_BITS = 1e-7
 BA_MAX_ITER = 20000
-BISECT_STEPS = 32
 
 
 @dataclass
@@ -27,8 +27,10 @@ class CapacityResult:
     capacity_bits: float
     input_pmf: Pmf
     expected_cost: float
+    # Tilt s of input_pmf's last update: 0 when the budget does not bind,
+    # inf when it pins the input to the cheapest symbols.
     multiplier: float
-    # Lagrangian objective after each Blahut-Arimoto update, in bits.
+    # I(X;Y) in bits after each Blahut-Arimoto update.
     iterates: list = field(default_factory=list)
 
 
@@ -68,45 +70,68 @@ def _divergences(W: np.ndarray, r: np.ndarray):
     return r, d, info
 
 
-def _ba_lagrangian(W: np.ndarray, cost: np.ndarray, s: float):
-    """Maximize I(r) - s*E_r[cost] over input pmfs r by alternating updates.
+def _tilt(log_w: np.ndarray, cost: np.ndarray, budget: float, s: float):
+    """(r, s): r proportional to exp(log_w - s*cost) for the least s >= 0 with
+    E_r[cost] <= budget.
 
-    Returns (r, mutual information in bits, E[cost], objective iterates in
-    bits).  The objective sequence is non-decreasing; that is checked per
-    iteration, raising RuntimeError, because it is the algorithm's correctness
-    certificate.
+    s = 0 when the untilted pmf fits.  Otherwise E_s[cost] falls in s with
+    slope -Var_s[cost]; Newton steps start at the given s and stay inside the
+    bracket they narrow (else it is bisected, or doubled while no s is known
+    to fit) until its ends are adjacent floats or a fitting s stops moving;
+    the fitting end is returned.
     """
-    m = W.shape[0]
-    r = np.full(m, 1.0 / m)
-    iterates = []
-    prev = -np.inf
+    def pmf(s):
+        z = log_w - s * cost
+        r = np.exp(z - z.max())
+        return r / r.sum()
+
+    r = pmf(0.0)
+    if r @ cost <= budget:
+        return r, 0.0
+    lo, hi, r_hi = 0.0, np.inf, None
+    while np.nextafter(lo, hi) < hi:
+        r = pmf(s)
+        mean = float(r @ cost)
+        if mean > budget:
+            lo = s
+        else:
+            hi, r_hi = s, r
+        var = float(r @ (cost - mean) ** 2)
+        step = s + (mean - budget) / var if var > 0 else np.nan
+        if step == s:  # converged to rounding; an infeasible s takes one ulp more
+            if s == hi:
+                break
+            step = np.nextafter(s, hi)
+        s = step if lo < step < hi else 0.5 * (lo + hi) if hi < np.inf else 2.0 * s + 1.0
+    return r_hi, float(hi)
+
+
+def _ba(W: np.ndarray, cost: np.ndarray, budget: float, log_start: np.ndarray):
+    """Maximize I(r) over input pmfs r with E_r[cost] <= budget.
+
+    Each Blahut-Arimoto update r <- r*exp(D - s*cost), normalised, takes the
+    least s >= 0 that keeps it within budget; that maximises the update's
+    surrogate over the feasible pmfs (Csiszar-Tusnady), so from the tilted
+    exp(log_start) on every iterate is feasible and I(r) never falls.  That
+    is checked per iteration, raising RuntimeError, because it is the
+    algorithm's correctness certificate.  Returns (r, I(r) in bits, the tilt
+    s of r, I(r) in bits after each update).
+    """
+    iterates, prev, s = [], -np.inf, 0.0
+    log_w = log_start
     for _ in range(BA_MAX_ITER):
+        r, s = _tilt(log_w, cost, budget, s)
         r, d, info = _divergences(W, r)
-        objective = (info - s * float(r @ cost)) / LN2
-        if not objective >= prev - 1e-10:
+        bits = info / LN2
+        if not bits >= prev - 1e-10:
             raise RuntimeError("Blahut-Arimoto objective decreased during iteration")
-        iterates.append(objective)
-        if objective - prev < BA_TOL_BITS:
-            prev = objective
+        iterates.append(bits)
+        if bits - prev < BA_TOL_BITS:
             break
-        prev = objective
-        log_r = np.log(r, where=r > 0, out=np.full(m, -np.inf))
-        log_w = log_r + d - s * cost
-        log_w -= log_w.max()
-        r = np.exp(log_w)
-        r /= r.sum()
+        prev = bits
+        log_w = np.log(r, where=r > 0, out=np.full(r.size, -np.inf)) + d
     r, _, info = _divergences(W, r)
-    return r, info / LN2, float(r @ cost), iterates
-
-
-def _restricted_capacity(W: np.ndarray, support: np.ndarray):
-    """Unconstrained capacity over inputs restricted to a support set."""
-    r_sub, info, _, iterates = _ba_lagrangian(
-        W[support], np.zeros(support.size), 0.0
-    )
-    r = np.zeros(W.shape[0])
-    r[support] = r_sub
-    return r, info, iterates
+    return r, info / LN2, s, iterates
 
 
 def dm_capacity_with_cost(
@@ -140,46 +165,11 @@ def dm_capacity_with_cost(
             f"budget {budget_eff} is below the cheapest symbol cost {min_cost}"
         )
 
-    # Unconstrained optimum; done if it already fits the budget.
-    r0, info0, cost0, iterates = _ba_lagrangian(W, cost, 0.0)
-    if cost0 <= budget_eff + 1e-12:
-        return CapacityResult(info0, Pmf(np.maximum(r0, 0.0)), cost0, 0.0, iterates)
-
-    # The budget pins the input to the cheapest symbols.
-    if budget_eff <= min_cost + 1e-12:
-        support = np.flatnonzero(cost <= min_cost + 1e-12)
-        r, info, its = _restricted_capacity(W, support)
-        return CapacityResult(info, Pmf(np.maximum(r, 0.0)), min_cost, np.inf, its)
-
-    # Bracket a multiplier that drives E[cost] below the budget, then bisect.
-    s_hi = 1.0
-    for _ in range(60):
-        r_hi, _, cost_hi, _ = _ba_lagrangian(W, cost, s_hi)
-        if cost_hi <= budget_eff:
-            break
-        s_hi *= 2.0
-    s_lo = 0.0
-    r = r_hi
-    s = s_hi
-    for _ in range(BISECT_STEPS):
-        s_mid = 0.5 * (s_lo + s_hi)
-        r_mid, _, cost_mid, its_mid = _ba_lagrangian(W, cost, s_mid)
-        iterates = its_mid
-        if cost_mid > budget_eff:
-            s_lo = s_mid
-        else:
-            s_hi = s_mid
-            r, s = r_mid, s_mid
-    cost_r = float(r @ cost)
-
-    # The bisection endpoint can sit a hair over budget; mix toward the
-    # cheapest-symbol optimum to make the constraint hold exactly.
-    if cost_r > budget_eff:
-        support = np.flatnonzero(cost <= min_cost + 1e-12)
-        r_min, _, _ = _restricted_capacity(W, support)
-        theta = (budget_eff - min_cost) / (cost_r - min_cost)
-        r = theta * r + (1.0 - theta) * r_min
-        cost_r = float(r @ cost)
-
-    r, _, info = _divergences(W, r)
-    return CapacityResult(info / LN2, Pmf(np.maximum(r, 0.0)), cost_r, s, iterates)
+    # At the cheapest cost only the cheapest symbols fit: start on them alone
+    # with no budget, as an update never revives a zero mass.
+    cheap = cost <= min_cost + 1e-12
+    pinned = budget_eff <= min_cost + 1e-12 and not cheap.all()
+    log_start = np.where(cheap, 0.0, -np.inf) if pinned else np.zeros(cost.size)
+    r, bits, s, iterates = _ba(W, cost, np.inf if pinned else budget_eff, log_start)
+    return CapacityResult(bits, Pmf(np.maximum(r, 0.0)), float(r @ cost),
+                          np.inf if pinned else s, iterates)

@@ -119,17 +119,13 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
             g, relay_pmf = _second_hop_capacity(prob, budget)
             if g <= best_val:
                 break  # budgets only shrink from here on
-            # Both terms beat it; the record keeps its second-hop solve.
-            best_val, p1, record = min(float(i1[j]), g), cands[j], (budget, g, relay_pmf)
+            # Both terms beat it; the record keeps its scored budget and solve.
+            best_val, p1, record = min(float(i1[j]), g), cands[j], (budget, relay_pmf)
             if g <= i1[j]:
                 break  # hop 2 binds, and no later budget buys more of it
 
-    budget = float(p1 @ beta) + prob.p2_budget
-    record_budget, bits2, relay_pmf = record
-    if budget != record_budget:  # the scan's matrix product may round differently
-        bits2, relay_pmf = _second_hop_capacity(prob, budget)
-    cap = min(float(entropy_bits(p1 @ W1) - p1 @ h_rows), bits2)
-    return MhcSolution(max(cap, 0.0), Pmf(np.maximum(p1, 0.0)), budget, relay_pmf)
+    budget, relay_pmf = record
+    return MhcSolution(max(best_val, 0.0), Pmf(np.maximum(p1, 0.0)), budget, relay_pmf)
 
 
 def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:

@@ -112,20 +112,28 @@ class TestDmCapacityWithCost:
         assert np.isfinite(res.iterates).all()
 
     def test_sparse_channel_fuzz_never_raises(self):
-        """Exclusive outputs and large multipliers drive input masses below
-        the float range, down to subnormals whose products underflow."""
-        from infoenergy import capacity
-
+        """Exclusive outputs and budgets just above the cheapest cost need
+        large multipliers, which drive input masses below the float range,
+        down to subnormals whose products underflow."""
         rng = np.random.default_rng(1210)
+        large = 0
         for _ in range(300):
             n, m = rng.integers(2, 5, size=2)
             W = rng.uniform(size=(n, m)) * (rng.uniform(size=(n, m)) < 0.3)
             W[np.arange(n), rng.integers(m, size=n)] = 1.0
             W /= W.sum(axis=1, keepdims=True)
-            s = float(10.0 ** rng.uniform(1, 4))
-            r, info, cost, its = capacity._ba_lagrangian(W, rng.uniform(size=n), s)
+            ch = ie.DmChannel.point_to_point(
+                ie.Alphabet(np.arange(n, dtype=float)),
+                ie.Alphabet(np.arange(m, dtype=float)), W)
+            c = rng.uniform(size=n)
+            budget = float(c.min() + 10.0 ** -rng.uniform(1, 12) * (c.max() - c.min()))
+            res = ie.dm_capacity_with_cost(ch, ie.CostFn(c), budget)
+            r = res.input_pmf.probs
             assert r.min() >= 0 and r.sum() == pytest.approx(1.0)
-            assert np.isfinite([info, cost, *its]).all()
+            assert np.isfinite([res.capacity_bits, *res.iterates]).all()
+            assert res.expected_cost <= budget
+            large += res.multiplier >= 10
+        assert large >= 100
 
     def test_constraint_active_or_interior(self):
         rng = np.random.default_rng(22)
@@ -137,3 +145,28 @@ class TestDmCapacityWithCost:
             budget = float(rng.uniform(c.values.min(), c.values.max()))
             res = ie.dm_capacity_with_cost(ch, c, budget)
             assert res.expected_cost <= budget + 1e-9
+            if res.multiplier > 0:
+                assert budget - res.expected_cost <= 1e-12
+
+    def test_one_divergence_pass_per_iterate(self, monkeypatch):
+        """The multiplier is re-solved inside each update, not by whole runs:
+        a solve evaluates divergences once per iterate plus once at the end."""
+        from infoenergy import capacity
+
+        calls = [0]
+        real = capacity._divergence_rows
+
+        def counting(W, q):
+            calls[0] += 1
+            return real(W, q)
+
+        monkeypatch.setattr(capacity, "_divergence_rows", counting)
+        rng = np.random.default_rng(31)  # the criterion-08 law
+        for _ in range(5):
+            W = rng.dirichlet(np.ones(3), size=3)
+            ch = ie.DmChannel.point_to_point(
+                ie.Alphabet([0.0, 1.0, 2.0]), ie.Alphabet([0.0, 1.0, 2.0]), W)
+            c = ie.CostFn(rng.uniform(0.0, 2.0, size=3))
+            calls[0] = 0
+            res = ie.dm_capacity_with_cost(ch, c, float(np.median(c.values)))
+            assert calls[0] <= len(res.iterates) + 1
