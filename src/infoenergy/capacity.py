@@ -78,7 +78,9 @@ def _tilt(log_w: np.ndarray, cost: np.ndarray, budget: float, s: float):
     slope -Var_s[cost]; Newton steps start at the given s and stay inside the
     bracket they narrow (else it is bisected, or doubled while no s is known
     to fit) until its ends are adjacent floats or a fitting s stops moving;
-    the fitting end is returned.
+    the fitting end is returned.  Raises RuntimeError when the doubling
+    overflows, as then no tilt fits: every symbol that log_w keeps costs more
+    than the budget.
     """
     def pmf(s):
         z = log_w - s * cost
@@ -90,6 +92,8 @@ def _tilt(log_w: np.ndarray, cost: np.ndarray, budget: float, s: float):
         return r, 0.0
     lo, hi, r_hi = 0.0, np.inf, None
     while np.nextafter(lo, hi) < hi:
+        if s == np.inf:
+            raise RuntimeError("no finite tilt brings the update within the cost budget")
         r = pmf(s)
         mean = float(r @ cost)
         if mean > budget:
@@ -130,8 +134,7 @@ def _ba(W: np.ndarray, cost: np.ndarray, budget: float, log_start: np.ndarray):
             break
         prev = bits
         log_w = np.log(r, where=r > 0, out=np.full(r.size, -np.inf)) + d
-    r, _, info = _divergences(W, r)
-    return r, info / LN2, s, iterates
+    return r, bits, s, iterates
 
 
 def dm_capacity_with_cost(
@@ -166,10 +169,11 @@ def dm_capacity_with_cost(
         )
 
     # At the cheapest cost only the cheapest symbols fit: start on them alone
-    # with no budget, as an update never revives a zero mass.
+    # with no budget, as an update never revives a zero mass.  The tilt is
+    # then infinite unless every symbol is among the cheapest.
     cheap = cost <= min_cost + 1e-12
-    pinned = budget_eff <= min_cost + 1e-12 and not cheap.all()
+    pinned = budget_eff <= min_cost + 1e-12
     log_start = np.where(cheap, 0.0, -np.inf) if pinned else np.zeros(cost.size)
     r, bits, s, iterates = _ba(W, cost, np.inf if pinned else budget_eff, log_start)
     return CapacityResult(bits, Pmf(np.maximum(r, 0.0)), float(r @ cost),
-                          np.inf if pinned else s, iterates)
+                          np.inf if pinned and not cheap.all() else s, iterates)

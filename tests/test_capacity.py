@@ -148,9 +148,28 @@ class TestDmCapacityWithCost:
             if res.multiplier > 0:
                 assert budget - res.expected_cost <= 1e-12
 
+    @pytest.mark.parametrize("costs, budget", [([0.0, 0.0], -1e-13),
+                                               ([1.0, 1.0], 1.0 - 1e-13)])
+    def test_equal_costs_with_budget_a_hair_under(self, costs, budget):
+        # Every symbol is among the cheapest, so no tilt can lower E[cost]:
+        # the solve is the unconstrained one.
+        ch = make_bsc(0.11)
+        res = ie.dm_capacity_with_cost(ch, ie.CostFn(costs), budget)
+        free = ie.dm_capacity_with_cost(ch)
+        assert res.capacity_bits == free.capacity_bits
+        assert res.iterates == free.iterates
+        assert res.multiplier == 0.0
+        assert res.expected_cost <= budget + 1e-12
+
+    def test_tilt_with_no_fitting_multiplier_raises(self):
+        from infoenergy import capacity
+
+        with pytest.raises(RuntimeError, match="no finite tilt"):
+            capacity._tilt(np.zeros(2), np.ones(2), 1.0 - 1e-13, 0.0)
+
     def test_one_divergence_pass_per_iterate(self, monkeypatch):
         """The multiplier is re-solved inside each update, not by whole runs:
-        a solve evaluates divergences once per iterate plus once at the end."""
+        a solve evaluates divergences once per iterate."""
         from infoenergy import capacity
 
         calls = [0]
@@ -169,4 +188,4 @@ class TestDmCapacityWithCost:
             c = ie.CostFn(rng.uniform(0.0, 2.0, size=3))
             calls[0] = 0
             res = ie.dm_capacity_with_cost(ch, c, float(np.median(c.values)))
-            assert calls[0] <= len(res.iterates) + 1
+            assert calls[0] <= len(res.iterates)
