@@ -3,10 +3,16 @@
 The discrete solver searches time-sharing policies (p(q), {p(x1|q)},
 {p(x2|q)}) by alternating coordinate ascent on simplex grids with shrinking
 refinement passes and multiple restarts; the energy and cost constraints are
-enforced by feasibility filtering, never by penalties.  A brute-force grid
-enumerator is provided as an independent test oracle, and the Gaussian
-two-sender example (information-bearing Gaussian phase time-shared against a
-constant energy-beaming phase) is solved in closed form.
+enforced by feasibility filtering, never by penalties.  The restarts of one
+boundary point share their work: a candidate block's stat table depends only
+on (stage, sender, centre pmf, partner pmf), so it is kept in a ring buffer
+and read back when the same block comes up again, and a restart that enters
+a stage in a state another restart already entered takes that restart's
+result.  Both reuse exactly the bits a recomputation would give.  A
+brute-force grid enumerator is provided as an independent test oracle, and
+the Gaussian two-sender example (information-bearing Gaussian phase
+time-shared against a constant energy-beaming phase) is solved in closed
+form.
 """
 
 from __future__ import annotations
@@ -31,8 +37,13 @@ MAX_SWEEPS = 50
 RNG_SEED = 0
 
 # Rows per stat block of a product-pmf scan or of the oracle.  Below the
-# largest ascent block (8,779 rows, 3-symbol stage 1): no new peak memory.
+# largest ascent block (8,779 rows, 3-symbol stage 1), so the scans raise
+# peak memory no higher than the ascent does.  On top of that, each boundary
+# point holds one _TableRing of _RING_ROWS rows: 1 MiB.
 _CHUNK_ROWS = 8192
+# Rows of the ascent's stat-table ring: 1 MiB of (N, 6) float64 rows, room
+# for 28 binary stage-1 tables (772 rows) or 2 ternary ones (8,779 rows).
+_RING_ROWS = (1 << 20) // (6 * 8)
 
 
 @dataclass(frozen=True)
@@ -277,14 +288,65 @@ def _better(a, b) -> bool:
     return a[1] > b[1] + 1e-12
 
 
-def _coordinate_ascent(inst: _Instance, w1, w2, q, A1, A2):
+class _TableRing:
+    """FIFO cache of (N, 6) stat tables in one buffer allocated up front.
+
+    Tables are written one after another; the write position wraps to row 0
+    when the next table would run past the end, and a put drops exactly the
+    tables whose rows it overwrites.  A table longer than the buffer is not
+    kept.  A get returns a view that the next put may overwrite.  One buffer,
+    rather than one array per table, keeps the heap from fragmenting.
+    """
+
+    def __init__(self, rows: int):
+        self.buf = np.empty((rows, 6))
+        self.spans = {}  # key -> (first row, row count)
+        self.pos = 0
+
+    def get(self, key):
+        span = self.spans.get(key)
+        return None if span is None else self.buf[span[0]:span[0] + span[1]]
+
+    def put(self, key, table: np.ndarray):
+        n = table.shape[0]
+        if n > self.buf.shape[0]:
+            return
+        lo = self.pos if self.pos + n <= self.buf.shape[0] else 0
+        hi = lo + n
+        self.spans = {k: (a, m) for k, (a, m) in self.spans.items()
+                      if a + m <= lo or a >= hi}
+        self.buf[lo:hi] = table
+        self.spans[key] = (lo, n)
+        self.pos = hi
+
+
+def _stage_key(stage: int, q, A1, A2, S):
+    """The bytes an ascent stage starts from; the rest of the run follows."""
+    return (stage, q.tobytes(), A1.tobytes(), A2.tobytes(), S.tobytes())
+
+
+def _coordinate_ascent(inst: _Instance, w1, w2, q, A1, A2, ring: _TableRing,
+                       entered: dict):
+    """Ascent from one restart; returns (q, A1, A2, final score).
+
+    ring holds the boundary point's candidate stat tables, keyed on the
+    bytes of (stage, sender, centre, partner).  entered maps every stage
+    entry of earlier restarts to their results: a restart that enters a
+    stage in one of those states returns that result.
+    """
     prob = inst.prob
     k = q.size
     grids = {d: simplex_grid(d, _steps_for(d, MAX_BLOCK_CANDIDATES))
              for d in {k, inst.n1, inst.n2}}
     S = np.vstack([_block_stats(inst, 0, A1[qi:qi + 1], A2[qi]) for qi in range(k)])
 
+    keys, result = [], None
     for stage in range(REFINE_PASSES + 1):
+        key = _stage_key(stage, q, A1, A2, S)
+        result = entered.get(key)
+        if result is not None:
+            break
+        keys.append(key)
         for _ in range(MAX_SWEEPS):
             _, cur = _score_block((q @ S)[None, :], prob, w1, w2)
             improved = False
@@ -292,7 +354,7 @@ def _coordinate_ascent(inst: _Instance, w1, w2, q, A1, A2):
             Q = _ladder_candidates(grids[k], q, stage, REFINE_FACTOR)
             idx, score = _score_block(Q @ S, prob, w1, w2)
             if _better(score, cur):
-                q = Q[idx]
+                q = Q[idx].copy()
                 cur = score
                 improved = True
 
@@ -303,19 +365,30 @@ def _coordinate_ascent(inst: _Instance, w1, w2, q, A1, A2):
                 for which in (0, 1):
                     block = A1 if which == 0 else A2
                     fixed = A2[qi] if which == 0 else A1[qi]
-                    V = _ladder_candidates(grids[block.shape[1]], block[qi], stage,
-                                           REFINE_FACTOR)
-                    stats = rest[None, :] + q[qi] * _block_stats(inst, which, V, fixed)
+                    grid = grids[block.shape[1]]
+                    table_key = (stage, which, block[qi].tobytes(), fixed.tobytes())
+                    table, V = ring.get(table_key), None
+                    if table is None:
+                        V = _ladder_candidates(grid, block[qi], stage, REFINE_FACTOR)
+                        table = _block_stats(inst, which, V, fixed)
+                        ring.put(table_key, table)
+                    stats = rest[None, :] + q[qi] * table
                     idx, score = _score_block(stats, prob, w1, w2)
                     if _better(score, cur):
+                        if V is None:
+                            V = _ladder_candidates(grid, block[qi], stage, REFINE_FACTOR)
                         block[qi] = V[idx]
                         S[qi] = _block_stats(inst, which, block[qi:qi + 1], fixed)[0]
                         cur = score
                         improved = True
             if not improved:
                 break
-    _, final = _score_block((q @ S)[None, :], prob, w1, w2)
-    return q, A1, A2, final
+    if result is None:
+        _, final = _score_block((q @ S)[None, :], prob, w1, w2)
+        result = (q, A1, A2, final)
+    for key in keys:
+        entered[key] = result
+    return result
 
 
 def _result_from_policy(prob, w1, w2, q, A1, A2) -> MacBoundaryResult:
@@ -484,9 +557,10 @@ def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
 
     best = None
     best_score = (-1, -np.inf)
+    ring, entered = _TableRing(_RING_ROWS), {}
     for q0, a1, a2 in seeds:
         q, A1, A2, score = _coordinate_ascent(
-            inst, w1, w2, q0.copy(), a1.copy(), a2.copy())
+            inst, w1, w2, q0.copy(), a1.copy(), a2.copy(), ring, entered)
         if _better(score, best_score):
             best_score = score
             best = (q, A1, A2)

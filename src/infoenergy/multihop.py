@@ -87,10 +87,11 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     with fewer steps where that grid would exceed MHC_MAX_ROWS rows, then
     from MHC_REFINE_PASSES scale ladders around the running best.  One scan
     serves a discrete and a Gaussian second hop alike: each stage takes its
-    candidates in decreasing budget order and solves the second hop where
-    I(X1;Y1) beats every earlier candidate.  The second-hop capacity does
-    not fall as the budget grows, so the scan stops at the first capacity
-    that cannot beat the running best or that binds the min.
+    candidates in decreasing budget order and solves the second hop, once
+    per distinct budget, where I(X1;Y1) beats every earlier candidate.  The
+    second-hop capacity does not fall as the budget grows, so the scan stops
+    at the first capacity that cannot beat the running best or that binds
+    the min.
     """
     W1 = prob.hop1.transition
     c1 = prob.c1.values
@@ -103,6 +104,7 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     grid = simplex_grid(n1, min(MHC_STEPS, _steps_for(n1, MHC_MAX_ROWS)))
     # The cheapest vertex is within budget, so every stage has a candidate.
     best_val, p1, record = -np.inf, None, None
+    solved = {}  # relay budget -> (bits, relay pmf)
     for stage in range(MHC_REFINE_PASSES + 1):
         cands = _ladder_candidates(grid, p1, stage, MHC_REFINE_FACTOR)
         cands = cands[cands @ c1 <= prob.p1_budget + FEAS_TOL]
@@ -116,7 +118,11 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
         i1_seen = np.maximum.accumulate(np.concatenate(([best_val], i1_sorted[:-1])))
         for j in order[i1_sorted > i1_seen]:
             budget = float(budgets[j])
-            g, relay_pmf = _second_hop_capacity(prob, budget)
+            # A ladder point can carry the same budget bits as a candidate of
+            # an earlier stage; that budget's second hop is solved once.
+            if budget not in solved:
+                solved[budget] = _second_hop_capacity(prob, budget)
+            g, relay_pmf = solved[budget]
             if g <= best_val:
                 break  # budgets only shrink from here on
             # Both terms beat it; the record keeps its scored budget and solve.

@@ -320,6 +320,79 @@ class TestProductScan:
                 assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+class TestTableRing:
+    def test_put_evicts_exactly_the_tables_it_overwrites(self):
+        ring = mr._TableRing(10)
+        for key, rows, kept in [("a", 4, "a"), ("b", 4, "ab"),
+                                ("c", 4, "bc"),  # wraps onto a's rows 0-3
+                                ("d", 3, "cd"),  # rows 4-6, inside b's 4-7
+                                ("e", 3, "cde"),  # rows 7-9, free since b left
+                                ("f", 2, "def")]:  # wraps onto c's rows 0-3
+            ring.put(key, np.full((rows, 6), float(ord(key))))
+            assert {k for k in "abcdef" if ring.get(k) is not None} == set(kept), key
+        assert ring.get("e").shape == (3, 6) and (ring.get("e") == ord("e")).all()
+
+    def test_table_longer_than_the_ring_is_not_kept(self):
+        ring = mr._TableRing(10)
+        ring.put("a", np.zeros((4, 6)))
+        ring.put("big", np.ones((11, 6)))
+        assert ring.get("big") is None and ring.get("a") is not None
+        empty = mr._TableRing(0)
+        empty.put("a", np.zeros((1, 6)))
+        assert empty.get("a") is None
+
+    def test_hit_returns_the_bytes_put(self):
+        table = np.random.default_rng(5).standard_normal((7, 6)) * 1e-300
+        ring = mr._TableRing(mr._RING_ROWS)
+        ring.put(("k", b"\x00"), table)
+        want = table.tobytes()
+        table[:] = 0.0  # the ring holds a copy
+        assert ring.get(("k", b"\x00")).tobytes() == want
+        assert ring.get(("k", b"\x01")) is None
+
+
+class TestAscentReuse:
+    """The table ring and the stage-entry memo change no bit of a result."""
+
+    @staticmethod
+    def cases():
+        for seed in (2024, 2026):
+            prob = make_random_mac_instance(seed)
+            emax, _, _ = ie.max_received_energy(prob)
+            for b_target, w in ((0.0, (1.0, 1.0)), (0.9 * emax, (0.0, 1.0))):
+                yield prob.with_target(b_target), *w, 4
+        yield make_ternary_cost_problem(1.2), 1.0, 0.0, 4
+        prob = make_random_mac_instance(2025)
+        yield prob.with_target(0.9 * ie.max_received_energy(prob)[0]), 1.0, 1.0, 5
+
+    def test_results_match_a_run_without_reuse(self, monkeypatch):
+        keys, hits = [], []
+        real_key, real_get = mr._stage_key, mr._TableRing.get
+
+        def stage_key(*state):
+            keys.append(real_key(*state))
+            return keys[-1]
+
+        def get(ring, key):
+            hits.append(real_get(ring, key) is not None)
+            return real_get(ring, key)
+
+        monkeypatch.setattr(mr, "_stage_key", stage_key)
+        monkeypatch.setattr(mr._TableRing, "get", get)
+        fast = [ie.mac_boundary_point(*case) for case in self.cases()]
+        assert len(set(keys)) < len(keys) and any(hits)  # both kinds of reuse ran
+        monkeypatch.setattr(mr, "_RING_ROWS", 0)
+        monkeypatch.setattr(mr, "_stage_key", lambda *state: object())
+        slow = [ie.mac_boundary_point(*case) for case in self.cases()]
+        for a, b in zip(fast, slow):
+            assert a.feasible and b.feasible
+            assert a.triple == b.triple and a.weighted_rate == b.weighted_rate
+            assert np.array_equal(a.policy.q_pmf.probs, b.policy.q_pmf.probs)
+            assert len(a.policy.inputs) == len(b.policy.inputs)
+            for (a1, a2), (b1, b2) in zip(a.policy.inputs, b.policy.inputs):
+                assert np.array_equal(a1.probs, b1.probs) and np.array_equal(a2.probs, b2.probs)
+
+
 def dense_gaussian_oracle(power, b_target, points=1025):
     """Single-pass dense grid over the time-share family.
 

@@ -105,6 +105,37 @@ class TestMhcCapacity:
         assert 0.0 < sol.capacity_bits <= ie.dm_capacity_with_cost(
             hop1, prob.c1, 1.0).capacity_bits + 1e-9
 
+    @pytest.mark.parametrize("eps1, eps2, c1, c2, energy, p1, p2", [
+        (0.85, 0.7, [0.0, 1.0, 4.0], [0.0, 1.0, 4.0], [0.0, 1.0, 4.0], 1.5, 0.2),
+        (0.94, 0.9, [0.0, 0.5, 1.0], [0.0, 1.0, 2.0], [0.0, 0.2, 0.5], 0.8, 0.1),
+    ])
+    def test_each_relay_budget_solved_once(self, monkeypatch, eps1, eps2, c1, c2,
+                                           energy, p1, p2):
+        """Noisy 3-symbol identity hops on which a later stage meets an
+        earlier stage's budget again (hop 2 binds on the first)."""
+        from infoenergy import multihop
+
+        budgets = []
+        real = multihop._second_hop_capacity
+
+        def recording(prob, budget):
+            budgets.append(budget)
+            return real(prob, budget)
+
+        monkeypatch.setattr(multihop, "_second_hop_capacity", recording)
+        levels = ie.Alphabet(np.arange(3.0))
+        eye = np.eye(3)
+        hop1 = ie.DmChannel.point_to_point(levels, levels, eps1 * eye + (1 - eps1) / 3)
+        hop2 = ie.DmChannel.point_to_point(levels, levels, eps2 * eye + (1 - eps2) / 3)
+        prob = ie.MhcProblem(hop1, hop2, ie.CostFn(c1), ie.CostFn(c2),
+                             ie.EnergyFn(energy), p1, p2)
+        sol = ie.mhc_capacity(prob)
+        assert len(budgets) == len(set(budgets)), budgets
+        assert sol.harvested_budget in budgets
+        cap, relay = real(prob, sol.harvested_budget)
+        assert np.array_equal(relay.probs, sol.relay_pmf.probs)
+        assert sol.capacity_bits <= cap
+
     def test_matches_scalar_example_solver(self):
         for n0 in (0.1, 1.0, 4.0, 16.0):
             sol = ie.mhc_capacity(ie.example_problem(4.0, 0.0, n0))
