@@ -8,7 +8,9 @@ boundary point share their work: a candidate block's stat table depends only
 on (stage, sender, centre pmf, partner pmf), so it is kept in a ring buffer
 and read back when the same block comes up again, and a restart that enters
 a stage in a state another restart already entered takes that restart's
-result.  Both reuse exactly the bits a recomputation would give.  A
+result.  Both reuse exactly the bits a recomputation would give.  Stat
+tables are stat-major (a row per stat, a column per candidate), and the
+scorer skips the rows and zero-weight products that are exactly +-0.  A
 brute-force grid enumerator is provided as an independent test oracle, and
 the Gaussian two-sender example (information-bearing Gaussian phase
 time-shared against a constant energy-beaming phase) is solved in closed
@@ -36,13 +38,13 @@ RESTARTS = 8
 MAX_SWEEPS = 50
 RNG_SEED = 0
 
-# Rows per stat block of a product-pmf scan or of the oracle.  Below the
-# largest ascent block (8,779 rows, 3-symbol stage 1), so the scans raise
-# peak memory no higher than the ascent does.  On top of that, each boundary
-# point holds one _TableRing of _RING_ROWS rows: 1 MiB.
+# Candidates (stat-table columns) per block of a product-pmf scan or of the
+# oracle.  Below the largest ascent block (8,779 candidates, 3-symbol stage
+# 1), so the scans raise peak memory no higher than the ascent does.  On top
+# of that, each boundary point holds one _TableRing of _RING_ROWS columns.
 _CHUNK_ROWS = 8192
-# Rows of the ascent's stat-table ring: 1 MiB of (N, 6) float64 rows, room
-# for 28 binary stage-1 tables (772 rows) or 2 ternary ones (8,779 rows).
+# Columns of the ascent's stat-table ring: 1 MiB of (6, N) float64 tables,
+# room for 28 binary stage-1 tables (772 columns) or 2 ternary ones (8,779).
 _RING_ROWS = (1 << 20) // (6 * 8)
 
 
@@ -224,8 +226,14 @@ def max_received_energy(prob: MacProblem):
 
 
 class _Instance:
-    def __init__(self, prob: MacProblem):
-        self.prob = prob
+    """One boundary point's problem data and its scorer for weights (w1, w2).
+
+    Costs and energies are nonnegative, so the violation skips the cost row of
+    a sender whose costs are all 0 and the energy row when B = 0.
+    """
+
+    def __init__(self, prob: MacProblem, w1: float, w2: float):
+        self.prob, self.w1, self.w2 = prob, w1, w2
         self.W = prob.channel.transition
         self.Wt = self.W.transpose(1, 0, 2)
         self.h_rows = entropy_bits(self.W)  # (n1, n2)
@@ -233,12 +241,35 @@ class _Instance:
         self.c1 = prob.c1.values
         self.c2 = prob.c2.values
         self.n1, self.n2, self.ny = self.W.shape
+        self.caps = [(r, cap) for r, c, cap in ((4, self.c1, prob.p1_budget),
+                                                 (5, self.c2, prob.p2_budget)) if c.any()]
+        self.floor = prob.b_target > 0
+        self.rows = max([4 if self.floor else 3] + [r + 1 for r, _ in self.caps])  # rows read
+
+    def violation(self, stats: np.ndarray):
+        """Total constraint violation of each stat column; None if none can be."""
+        terms = [np.maximum(stats[r] - cap, 0.0) for r, cap in self.caps]
+        if self.floor:
+            terms.append(np.maximum(self.prob.b_target - stats[3], 0.0))
+        return sum(terms[1:], terms[0]) if terms else None
+
+    def score(self, stats: np.ndarray):
+        """Best column index and its (feasible, value) score for a stat table."""
+        viol = self.violation(stats)
+        feas = True if viol is None else viol <= FEAS_TOL
+        if not np.any(feas):
+            idx = int(np.argmin(viol))
+            return idx, (0, -float(viol[idx]))
+        vals = _corner_rates(*stats[:3], self.w1, self.w2)
+        idx = int(np.argmax(vals if viol is None else np.where(feas, vals, -np.inf)))
+        return idx, (1, float(vals[idx]))
 
 
 def _block_stats(inst: _Instance, which: int, V: np.ndarray, p_fixed: np.ndarray):
-    """Stat matrix (N, 6) for varying input `which` (0 or 1) at one q.
+    """Stat table (6, N) for varying input `which` (0 or 1) at one q.
 
-    A stack p_fixed of shape (J, n) gives (J, N, 6), one matrix per pmf.
+    Rows are I1, I2, Isum, Eb, Ec1, Ec2; columns are the candidates V.  A
+    stack p_fixed of shape (J, n) gives (6, J, N), one table per pmf.
     """
     if which == 0:
         i1, i_sum, i2, pmfs = _vary_first_input(V, p_fixed, inst.W, inst.h_rows)
@@ -246,40 +277,27 @@ def _block_stats(inst: _Instance, which: int, V: np.ndarray, p_fixed: np.ndarray
     else:
         i2, i_sum, i1, pmfs = _vary_first_input(V, p_fixed, inst.Wt, inst.h_rows.T)
         ec1, ec2 = p_fixed[..., None, :] @ inst.c1, V @ inst.c2
-    out = np.empty(i1.shape + (6,))
-    out[..., 0], out[..., 1], out[..., 2] = i1, i2, i_sum
-    out[..., 3] = pmfs @ inst.b
-    out[..., 4], out[..., 5] = ec1, ec2
+    out = np.empty((6,) + i1.shape)
+    out[0], out[1], out[2] = i1, i2, i_sum
+    out[3] = pmfs @ inst.b
+    out[4], out[5] = ec1, ec2
     return out
 
 
 def _corner_rates(i1, i2, i_sum, w1: float, w2: float):
-    """Best weighted rate over the pentagon {r1<=i1, r2<=i2, r1+r2<=i_sum}."""
+    """Best weighted rate over the pentagon {r1<=i1, r2<=i2, r1+r2<=i_sum}.
+
+    A zero weight's products (+-0) are skipped: w*max(a, b) = max(w*a, w*b).
+    """
+    if w2 == 0:
+        return w1 * np.maximum(np.minimum(i1, i_sum), np.maximum(i_sum - i2, 0.0))
+    if w1 == 0:
+        return w2 * np.maximum(np.maximum(i_sum - i1, 0.0), np.minimum(i2, i_sum))
     r2a = np.maximum(i_sum - i1, 0.0)
     r1b = np.maximum(i_sum - i2, 0.0)
     val_a = w1 * np.minimum(i1, i_sum) + w2 * r2a
     val_b = w1 * r1b + w2 * np.minimum(i2, i_sum)
     return np.maximum(val_a, val_b)
-
-
-def _violation(stats: np.ndarray, prob: MacProblem):
-    """Total constraint violation of each stat row."""
-    return (np.maximum(stats[..., 4] - prob.p1_budget, 0.0)
-            + np.maximum(stats[..., 5] - prob.p2_budget, 0.0)
-            + np.maximum(prob.b_target - stats[..., 3], 0.0))
-
-
-def _score_block(stats: np.ndarray, prob: MacProblem, w1: float, w2: float):
-    """Best candidate index and its (feasible, value) score for a stat matrix."""
-    viol = _violation(stats, prob)
-    feas = viol <= FEAS_TOL
-    if feas.any():
-        vals = _corner_rates(stats[:, 0], stats[:, 1], stats[:, 2], w1, w2)
-        vals = np.where(feas, vals, -np.inf)
-        idx = int(np.argmax(vals))
-        return idx, (1, float(vals[idx]))
-    idx = int(np.argmin(viol))
-    return idx, (0, -float(viol[idx]))
 
 
 def _better(a, b) -> bool:
@@ -289,34 +307,40 @@ def _better(a, b) -> bool:
 
 
 class _TableRing:
-    """FIFO cache of (N, 6) stat tables in one buffer allocated up front.
+    """FIFO cache of (6, N) stat tables in one buffer allocated up front.
 
-    Tables are written one after another; the write position wraps to row 0
-    when the next table would run past the end, and a put drops exactly the
-    tables whose rows it overwrites.  A table longer than the buffer is not
-    kept.  A get returns a view that the next put may overwrite.  One buffer,
-    rather than one array per table, keeps the heap from fragmenting.
+    Tables are written one after another; the write position wraps to column
+    0 when the next table would run past the end, and a put drops exactly the
+    tables whose columns it overwrites: spans keeps them in the order the write
+    position reaches them, so they are popped from its front.  An empty table
+    or one longer than the buffer is not kept.  A get returns a view that the
+    next put may overwrite.  One buffer keeps the heap from fragmenting.
     """
 
-    def __init__(self, rows: int):
-        self.buf = np.empty((rows, 6))
-        self.spans = {}  # key -> (first row, row count)
+    def __init__(self, cols: int):
+        self.buf = np.empty((6, cols))
+        self.spans = {}  # key -> (first column, column count)
         self.pos = 0
 
     def get(self, key):
         span = self.spans.get(key)
-        return None if span is None else self.buf[span[0]:span[0] + span[1]]
+        return None if span is None else self.buf[:, span[0]:span[0] + span[1]]
 
     def put(self, key, table: np.ndarray):
-        n = table.shape[0]
-        if n > self.buf.shape[0]:
+        n = table.shape[1]
+        if not 0 < n <= self.buf.shape[1]:
             return
-        lo = self.pos if self.pos + n <= self.buf.shape[0] else 0
-        hi = lo + n
-        self.spans = {k: (a, m) for k, (a, m) in self.spans.items()
-                      if a + m <= lo or a >= hi}
-        self.buf[lo:hi] = table
-        self.spans[key] = (lo, n)
+        self.spans.pop(key, None)
+        if self.pos + n > self.buf.shape[1]:
+            # Wrap: tables from pos on are now reached after those before it.
+            for k in [k for k, (a, _) in self.spans.items() if a >= self.pos]:
+                self.spans[k] = self.spans.pop(k)
+            self.pos = 0
+        hi = self.pos + n
+        while self.spans and self.pos <= next(iter(self.spans.values()))[0] < hi:
+            del self.spans[next(iter(self.spans))]
+        self.buf[:, self.pos:hi] = table
+        self.spans[key] = (self.pos, n)
         self.pos = hi
 
 
@@ -325,8 +349,7 @@ def _stage_key(stage: int, q, A1, A2, S):
     return (stage, q.tobytes(), A1.tobytes(), A2.tobytes(), S.tobytes())
 
 
-def _coordinate_ascent(inst: _Instance, w1, w2, q, A1, A2, ring: _TableRing,
-                       entered: dict):
+def _coordinate_ascent(inst: _Instance, q, A1, A2, ring: _TableRing, entered: dict):
     """Ascent from one restart; returns (q, A1, A2, final score).
 
     ring holds the boundary point's candidate stat tables, keyed on the
@@ -334,11 +357,11 @@ def _coordinate_ascent(inst: _Instance, w1, w2, q, A1, A2, ring: _TableRing,
     entry of earlier restarts to their results: a restart that enters a
     stage in one of those states returns that result.
     """
-    prob = inst.prob
-    k = q.size
+    k, r = q.size, inst.rows
     grids = {d: simplex_grid(d, _steps_for(d, MAX_BLOCK_CANDIDATES))
              for d in {k, inst.n1, inst.n2}}
-    S = np.vstack([_block_stats(inst, 0, A1[qi:qi + 1], A2[qi]) for qi in range(k)])
+    # One (6,) stat row per q; each row has the bits of its one-row call.
+    S = np.ascontiguousarray(_block_stats(inst, 0, A1[:, None, :], A2)[..., 0].T)
 
     keys, result = [], None
     for stage in range(REFINE_PASSES + 1):
@@ -347,14 +370,16 @@ def _coordinate_ascent(inst: _Instance, w1, w2, q, A1, A2, ring: _TableRing,
         if result is not None:
             break
         keys.append(key)
+        Q = None  # the q ladder, kept until q changes
         for _ in range(MAX_SWEEPS):
-            _, cur = _score_block((q @ S)[None, :], prob, w1, w2)
+            _, cur = inst.score((q @ S)[:, None])
             improved = False
 
-            Q = _ladder_candidates(grids[k], q, stage, REFINE_FACTOR)
-            idx, score = _score_block(Q @ S, prob, w1, w2)
+            if Q is None:
+                Q = _ladder_candidates(grids[k], q, stage, REFINE_FACTOR)
+            idx, score = inst.score((Q @ S).T)
             if _better(score, cur):
-                q = Q[idx].copy()
+                q, Q = Q[idx].copy(), None
                 cur = score
                 improved = True
 
@@ -372,19 +397,19 @@ def _coordinate_ascent(inst: _Instance, w1, w2, q, A1, A2, ring: _TableRing,
                         V = _ladder_candidates(grid, block[qi], stage, REFINE_FACTOR)
                         table = _block_stats(inst, which, V, fixed)
                         ring.put(table_key, table)
-                    stats = rest[None, :] + q[qi] * table
-                    idx, score = _score_block(stats, prob, w1, w2)
+                    stats = rest[:r, None] + q[qi] * table[:r]
+                    idx, score = inst.score(stats)
                     if _better(score, cur):
                         if V is None:
                             V = _ladder_candidates(grid, block[qi], stage, REFINE_FACTOR)
                         block[qi] = V[idx]
-                        S[qi] = _block_stats(inst, which, block[qi:qi + 1], fixed)[0]
+                        S[qi] = _block_stats(inst, which, block[qi:qi + 1], fixed)[:, 0]
                         cur = score
                         improved = True
             if not improved:
                 break
     if result is None:
-        _, final = _score_block((q @ S)[None, :], prob, w1, w2)
+        _, final = inst.score((q @ S)[:, None])
         result = (q, A1, A2, final)
     for key in keys:
         entered[key] = result
@@ -413,7 +438,7 @@ def _result_from_policy(prob, w1, w2, q, A1, A2) -> MacBoundaryResult:
     return MacBoundaryResult(True, triple, pol, val)
 
 
-def _product_scan(inst: _Instance, prob, w1, w2, mus, budget: int):
+def _product_scan(inst: _Instance, mus, budget: int):
     """One pass over single product-pmf policies on the coarse grids.
 
     Returns (seed, tilted).  seed is the feasibility-first best pair
@@ -433,20 +458,21 @@ def _product_scan(inst: _Instance, prob, w1, w2, mus, budget: int):
         # Each grid column is still scored as a block of its own (row-wise
         # argmax); the columns are then compared in order as scalars, so
         # ties resolve as in a column-by-column pass.
-        stats = _block_stats(inst, 0, g1, g2[j0:j0 + chunk])  # (J, N, 6)
-        viol = _violation(stats, prob)
+        stats = _block_stats(inst, 0, g1, g2[j0:j0 + chunk])  # (6, J, N)
+        rates = _corner_rates(stats[0], stats[1], stats[2], inst.w1, inst.w2)
+        viol = inst.violation(stats)
+        viol = np.zeros(rates.shape) if viol is None else viol
         feas = viol <= FEAS_TOL
-        rates = _corner_rates(stats[..., 0], stats[..., 1], stats[..., 2], w1, w2)
         seed_idx = np.where(feas.any(axis=1),
                             np.argmax(np.where(feas, rates, -np.inf), axis=1),
                             np.argmin(viol, axis=1))
-        ok = ((stats[..., 4] <= prob.p1_budget + FEAS_TOL)
-              & (stats[..., 5] <= prob.p2_budget + FEAS_TOL))
+        ok = ((stats[4] <= inst.prob.p1_budget + FEAS_TOL)
+              & (stats[5] <= inst.prob.p2_budget + FEAS_TOL))
         picks = []
         for mu in mus:
-            vals = np.where(ok, rates + mu * stats[..., 3], -np.inf)
+            vals = np.where(ok, rates + mu * stats[3], -np.inf)
             picks.append((vals.argmax(axis=1), vals.max(axis=1)))
-        for c in range(stats.shape[0]):
+        for c in range(stats.shape[1]):
             idx = seed_idx[c]
             score = ((1, float(rates[c, idx])) if feas[c, idx]
                      else (0, -float(viol[c, idx])))
@@ -456,34 +482,34 @@ def _product_scan(inst: _Instance, prob, w1, w2, mus, budget: int):
             for m, (idx, best) in enumerate(picks):
                 if best[c] > tilted_val[m]:
                     tilted_val[m] = float(best[c])
-                    tilted[m] = (g1[idx[c]], g2[j0 + c], stats[c, idx[c]].copy())
+                    tilted[m] = (g1[idx[c]], g2[j0 + c], stats[:, c, idx[c]].copy())
     return seed, tilted
 
 
-def _bracket_seed(inst: _Instance, prob, w1, w2, k: int, p1e, p2e, lo, budget: int):
+def _bracket_seed(inst: _Instance, k: int, p1e, p2e, lo, budget: int):
     """Two-component seed straddling the energy target, from a mu ladder.
 
     lo is the untilted (mu = 0) product-scan optimum.
     """
-    if lo is None or lo[2][3] >= prob.b_target:
+    if lo is None or lo[2][3] >= inst.prob.b_target:
         return None
-    scale = max(_corner_rates(*lo[2][:3], w1, w2), 0.1) / max(
-        prob.b_target - lo[2][3], 1e-9)
+    scale = max(_corner_rates(*lo[2][:3], inst.w1, inst.w2), 0.1) / max(
+        inst.prob.b_target - lo[2][3], 1e-9)
     mults = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
-    _, ladder = _product_scan(inst, prob, w1, w2, [scale * m for m in mults], budget)
+    _, ladder = _product_scan(inst, [scale * m for m in mults], budget)
     hi = None
     for cand in ladder:
         if cand is None:
             break
-        if cand[2][3] >= prob.b_target:
+        if cand[2][3] >= inst.prob.b_target:
             hi = cand
             break
         lo = cand
     if hi is None:
-        emax_stats = _block_stats(inst, 0, p1e[None, :], p2e)[0]
+        emax_stats = _block_stats(inst, 0, p1e[None, :], p2e)[:, 0]
         hi = (p1e, p2e, emax_stats)
     span = hi[2][3] - lo[2][3]
-    lam = min(max((hi[2][3] - prob.b_target) / span, 0.0), 1.0) if span > 1e-12 else 0.0
+    lam = min(max((hi[2][3] - inst.prob.b_target) / span, 0.0), 1.0) if span > 1e-12 else 0.0
     q = np.zeros(k)
     q[0], q[1] = lam, 1.0 - lam
     a1 = np.tile(hi[0], (k, 1))
@@ -518,7 +544,7 @@ def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
         return MacBoundaryResult(
             False, reason=f"energy target {prob.b_target} exceeds max achievable {e_max:.6g}")
 
-    inst = _Instance(prob)
+    inst = _Instance(prob, w1, w2)
     rng = np.random.default_rng(RNG_SEED)
     k, n1, n2 = q_size, inst.n1, inst.n2
     u1 = np.full(n1, 1.0 / n1)
@@ -532,7 +558,7 @@ def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
         (np.full(k, 1.0 / k), np.tile(p1e, (k, 1)), np.tile(p2e, (k, 1))),
         (np.full(k, 1.0 / k), np.tile(u1, (k, 1)), np.tile(u2, (k, 1))),
     ]
-    pair, (untilted,) = _product_scan(inst, prob, w1, w2, [0.0], MAX_BLOCK_CANDIDATES)
+    pair, (untilted,) = _product_scan(inst, [0.0], MAX_BLOCK_CANDIDATES)
     if pair is not None:
         s1, s2 = pair
         seeds.append((np.full(k, 1.0 / k), np.tile(s1, (k, 1)), np.tile(s2, (k, 1))))
@@ -546,8 +572,7 @@ def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
             a1[-1], a2[-1] = p1e, p2e
             seeds.append((np.full(k, 1.0 / k), a1, a2))
     if k >= 2 and prob.b_target > 0:
-        bracket = _bracket_seed(inst, prob, w1, w2, k, p1e, p2e, untilted,
-                                MAX_BLOCK_CANDIDATES)
+        bracket = _bracket_seed(inst, k, p1e, p2e, untilted, MAX_BLOCK_CANDIDATES)
         if bracket is not None:
             seeds.append(bracket)
     for _ in range(RESTARTS):
@@ -560,7 +585,7 @@ def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
     ring, entered = _TableRing(_RING_ROWS), {}
     for q0, a1, a2 in seeds:
         q, A1, A2, score = _coordinate_ascent(
-            inst, w1, w2, q0.copy(), a1.copy(), a2.copy(), ring, entered)
+            inst, q0.copy(), a1.copy(), a2.copy(), ring, entered)
         if _better(score, best_score):
             best_score = score
             best = (q, A1, A2)
@@ -598,7 +623,7 @@ def brute_force_mac_oracle(prob: MacProblem, w1: float, w2: float,
     solver's search strategy; guarded to desk scale.
     """
     _check_weights(w1, w2)
-    inst = _Instance(prob)
+    inst = _Instance(prob, w1, w2)
     if inst.n1 > 3 or inst.n2 > 3:
         raise ValueError("oracle restricted to input alphabets of size <= 3")
     if steps > 21:
@@ -615,7 +640,7 @@ def brute_force_mac_oracle(prob: MacProblem, w1: float, w2: float,
         raise ValueError(f"enumeration of {outer} policies exceeds the size guard")
 
     # Stat table for every product pair, p1 grid index major.
-    T = _block_stats(inst, 0, g1, g2).transpose(1, 0, 2).reshape(n_pairs, 6)
+    T = _block_stats(inst, 0, g1, g2).transpose(0, 2, 1).reshape(6, n_pairs)
 
     # Heads (the pairs of the first q_size-1 components) run in lexicographic
     # order, a chunk at a time; each head's best last pair is then accepted
@@ -629,15 +654,15 @@ def brute_force_mac_oracle(prob: MacProblem, w1: float, w2: float,
         for h0 in range(0, n_heads, chunk):
             flat = np.arange(h0, min(h0 + chunk, n_heads))
             heads = []
-            partial = np.zeros((flat.size, 6))
+            partial = np.zeros((6, flat.size))
             for m in range(q_size - 1):
                 heads.append(flat // n_pairs ** (q_size - 2 - m) % n_pairs)
-                partial = partial + wq[m] * T[heads[m]]
-            tot = partial[:, None, :] + last
-            feas = ((tot[..., 4] <= prob.p1_budget + FEAS_TOL)
-                    & (tot[..., 5] <= prob.p2_budget + FEAS_TOL)
-                    & (tot[..., 3] >= prob.b_target - FEAS_TOL))
-            vals = _corner_rates(tot[..., 0], tot[..., 1], tot[..., 2], w1, w2)
+                partial = partial + wq[m] * T[:, heads[m]]
+            tot = partial[:, :, None] + last[:, None, :]
+            feas = ((tot[4] <= prob.p1_budget + FEAS_TOL)
+                    & (tot[5] <= prob.p2_budget + FEAS_TOL)
+                    & (tot[3] >= prob.b_target - FEAS_TOL))
+            vals = _corner_rates(tot[0], tot[1], tot[2], w1, w2)
             vals = np.where(feas, vals, -np.inf)
             idx = np.argmax(vals, axis=1)
             top = vals[np.arange(flat.size), idx]

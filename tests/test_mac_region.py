@@ -200,20 +200,20 @@ class TestBruteForceOracle:
         # Reference: every head on its own, in itertools order, accepted by
         # the same strict rule; the chunked oracle must pick the same policy.
         prob = make_ternary_cost_problem(1.2)
-        inst = mr._Instance(prob)
+        inst = mr._Instance(prob, 1.0, 0.5)
         g1, g2 = mr.simplex_grid(3, steps), mr.simplex_grid(2, steps)
-        T = np.stack([column_stats(inst, g1, p2) for p2 in g2], axis=1).reshape(-1, 6)
+        T = np.stack([column_stats(inst, g1, p2) for p2 in g2], axis=2).reshape(6, -1)
         best_val, best = -np.inf, None
         for wq in mr.simplex_grid(q_size, steps):
-            for head in product(range(len(T)), repeat=q_size - 1):
+            for head in product(range(T.shape[1]), repeat=q_size - 1):
                 partial = np.zeros(6)
                 for m, idx in enumerate(head):
-                    partial = partial + wq[m] * T[idx]
-                tot = partial[None, :] + wq[-1] * T
-                feas = ((tot[:, 4] <= prob.p1_budget + mr.FEAS_TOL)
-                        & (tot[:, 5] <= prob.p2_budget + mr.FEAS_TOL)
-                        & (tot[:, 3] >= prob.b_target - mr.FEAS_TOL))
-                vals = np.where(feas, mr._corner_rates(*tot[:, :3].T, 1.0, 0.5), -np.inf)
+                    partial = partial + wq[m] * T[:, idx]
+                tot = partial[:, None] + wq[-1] * T
+                feas = ((tot[4] <= prob.p1_budget + mr.FEAS_TOL)
+                        & (tot[5] <= prob.p2_budget + mr.FEAS_TOL)
+                        & (tot[3] >= prob.b_target - mr.FEAS_TOL))
+                vals = np.where(feas, ref_corner_rates(*tot[:3], 1.0, 0.5), -np.inf)
                 idx = int(np.argmax(vals))
                 if vals[idx] > best_val + 1e-15:
                     best_val, best = float(vals[idx]), (wq, head + (idx,))
@@ -252,7 +252,7 @@ def make_ternary_cost_problem(b_target: float) -> ie.MacProblem:
 
 
 def column_stats(inst, V, p):
-    """Stat matrix (N, 6) of one grid column: one BLAS call and one
+    """Stat table (6, N) of one grid column: one BLAS call and one
     entropy_bits call per term, one column at a time."""
     hv = inst.h_rows @ p
     wbar = np.einsum("j,ijy->iy", p, inst.W)
@@ -262,14 +262,42 @@ def column_stats(inst, V, p):
     for j, pj in enumerate(p):
         if pj > 0:
             i1 += pj * entropy_bits(V @ inst.W[:, j, :])
-    stats = np.empty((V.shape[0], 6))
-    stats[:, 0] = i1
-    stats[:, 1] = V @ (entropy_bits(wbar) - hv)
-    stats[:, 2] = entropy_bits(out) - h_cond
-    stats[:, 3] = out @ inst.b
-    stats[:, 4] = V @ inst.c1
-    stats[:, 5] = p @ inst.c2
+    stats = np.empty((6, V.shape[0]))
+    stats[0] = i1
+    stats[1] = V @ (entropy_bits(wbar) - hv)
+    stats[2] = entropy_bits(out) - h_cond
+    stats[3] = out @ inst.b
+    stats[4] = V @ inst.c1
+    stats[5] = p @ inst.c2
     return stats
+
+
+# The scorer as it was on row-major (N, 6) tables, every term evaluated:
+# the reference for the pruned stat-major scorer of mr._Instance.
+def ref_corner_rates(i1, i2, i_sum, w1, w2):
+    r2a = np.maximum(i_sum - i1, 0.0)
+    r1b = np.maximum(i_sum - i2, 0.0)
+    val_a = w1 * np.minimum(i1, i_sum) + w2 * r2a
+    val_b = w1 * r1b + w2 * np.minimum(i2, i_sum)
+    return np.maximum(val_a, val_b)
+
+
+def ref_violation(stats, prob):
+    return (np.maximum(stats[..., 4] - prob.p1_budget, 0.0)
+            + np.maximum(stats[..., 5] - prob.p2_budget, 0.0)
+            + np.maximum(prob.b_target - stats[..., 3], 0.0))
+
+
+def ref_score_block(stats, prob, w1, w2):
+    viol = ref_violation(stats, prob)
+    feas = viol <= mr.FEAS_TOL
+    if feas.any():
+        vals = ref_corner_rates(stats[:, 0], stats[:, 1], stats[:, 2], w1, w2)
+        vals = np.where(feas, vals, -np.inf)
+        idx = int(np.argmax(vals))
+        return idx, (1, float(vals[idx]))
+    idx = int(np.argmin(viol))
+    return idx, (0, -float(viol[idx]))
 
 
 def per_column_scan(inst, prob, w1, w2, mus, budget):
@@ -280,19 +308,92 @@ def per_column_scan(inst, prob, w1, w2, mus, budget):
     tilted, tilted_val = [None] * len(mus), [-np.inf] * len(mus)
     for j in range(g2.shape[0]):
         stats = column_stats(inst, g1, g2[j])
-        idx, score = mr._score_block(stats, prob, w1, w2)
+        idx, score = ref_score_block(stats.T, prob, w1, w2)
         if mr._better(score, seed_score):
             seed_score, seed = score, (g1[idx], g2[j])
-        ok = ((stats[:, 4] <= prob.p1_budget + mr.FEAS_TOL)
-              & (stats[:, 5] <= prob.p2_budget + mr.FEAS_TOL))
-        rates = mr._corner_rates(stats[:, 0], stats[:, 1], stats[:, 2], w1, w2)
+        ok = ((stats[4] <= prob.p1_budget + mr.FEAS_TOL)
+              & (stats[5] <= prob.p2_budget + mr.FEAS_TOL))
+        rates = ref_corner_rates(stats[0], stats[1], stats[2], w1, w2)
         for m, mu in enumerate(mus):
-            vals = np.where(ok, rates + mu * stats[:, 3], -np.inf)
+            vals = np.where(ok, rates + mu * stats[3], -np.inf)
             idx = int(np.argmax(vals))
             if vals[idx] > tilted_val[m]:
                 tilted_val[m] = float(vals[idx])
-                tilted[m] = (g1[idx], g2[j], stats[idx].copy())
+                tilted[m] = (g1[idx], g2[j], stats[:, idx].copy())
     return seed, tilted
+
+
+def problem_with(prob, c1, c2, p1, p2, b_target):
+    """prob's channel and energy table with other costs, budgets and target."""
+    return ie.MacProblem(prob.channel, ie.CostFn(c1), ie.CostFn(c2), prob.b,
+                         p1, p2, b_target)
+
+
+class TestScorer:
+    """The pruned stat-major scorer picks the index and score of the full one."""
+
+    WEIGHTS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 2.0)]
+
+    @staticmethod
+    def problems():
+        base = make_ternary_cost_problem(0.0)  # 3-symbol X1, binary X2
+        for c1, c2 in (([0, 0, 0], [0, 0]), ([0, 1, 4], [0, 0]),
+                       ([0, 0, 0], [0, 1]), ([0, 1, 4], [0, 1])):
+            for p1, p2, bt in ((1.0, 0.3, 0.0), (1.0, 0.3, 1.2), (0.0, 0.0, 0.5)):
+                yield problem_with(base, c1, c2, p1, p2, bt)
+
+    @staticmethod
+    def random_table(rng, prob, n, coarse):
+        """Stats as the ascent forms them: informations near [0, 2] with a
+        little rounding below 0, Eb >= 0, and Ec = V @ c (0 for zero costs).
+        coarse values on a 1/4 grid give many exact ties."""
+        V = rng.dirichlet(np.ones(3), size=n)
+        t = np.empty((6, n))
+        t[:3] = rng.uniform(-1e-17, 2.0, size=(3, n))
+        t[3] = rng.uniform(0.0, 2.0, size=n)
+        t[4] = V @ prob.c1.values
+        t[5] = rng.uniform(0.0, 1.0, size=n) * prob.c2.values.max()
+        if coarse:
+            t[:4] = np.round(t[:4] * 4) / 4
+            t[4:] = np.round(t[4:] * 4) / 4
+        return t
+
+    def test_matches_full_row_major_scorer(self):
+        rng = np.random.default_rng(15)
+        checked = {"infeasible": 0, "ties": 0}
+        for prob in self.problems():
+            for w in self.WEIGHTS:
+                inst = mr._Instance(prob, *w)
+                for trial in range(40):
+                    t = self.random_table(rng, prob, int(rng.integers(1, 60)), trial % 2 == 0)
+                    if trial % 8 == 0:  # nothing meets the energy floor
+                        t[3] = np.minimum(t[3], max(prob.b_target - 0.25, 0.0))
+                    want = ref_score_block(t.T, prob, *w)
+                    got = inst.score(np.ascontiguousarray(t[:inst.rows]))
+                    assert got == want, (prob.c1.values, prob.c2.values, prob.b_target, w)
+                    assert mr._Instance(prob, *w).score(t.T.copy().T) == want  # strided rows
+                    checked["infeasible"] += want[1][0] == 0
+                    if want[1][0] == 1:
+                        vals = np.where(ref_violation(t.T, prob) <= mr.FEAS_TOL,
+                                        ref_corner_rates(*t[:3], *w), -np.inf)
+                        checked["ties"] += np.count_nonzero(vals == vals.max()) > 1
+        assert checked["infeasible"] > 50 and checked["ties"] > 50
+
+    def test_rows_read(self):
+        base = make_ternary_cost_problem(0.0)
+        for c1, c2, bt, rows in (([0, 0, 0], [0, 0], 0.0, 3), ([0, 0, 0], [0, 0], 0.5, 4),
+                                 ([0, 1, 4], [0, 0], 0.0, 5), ([0, 0, 0], [0, 1], 0.0, 6),
+                                 ([0, 1, 4], [0, 1], 1.2, 6)):
+            inst = mr._Instance(problem_with(base, c1, c2, 1.0, 0.3, bt), 1.0, 1.0)
+            assert inst.rows == rows
+
+    def test_corner_rates_match_every_weight(self):
+        rng = np.random.default_rng(16)
+        i1, i2, i_sum = rng.uniform(-1e-17, 2.0, size=(3, 500))
+        i1[::7], i_sum[::11] = 0.0, -0.0
+        for w in self.WEIGHTS + [(2.5, 0.0), (0.0, 0.7)]:
+            assert np.array_equal(mr._corner_rates(i1, i2, i_sum, *w),
+                                  ref_corner_rates(i1, i2, i_sum, *w))
 
 
 class TestProductScan:
@@ -308,8 +409,8 @@ class TestProductScan:
     @pytest.mark.parametrize("mus", [[0.0], MUS8])
     @pytest.mark.parametrize("w", [(1.0, 1.0), (0.0, 1.0)])
     def test_chunked_scan_matches_per_column_scan(self, label, prob, mus, w):
-        inst = mr._Instance(prob)
-        got = mr._product_scan(inst, prob, *w, mus, mr.MAX_BLOCK_CANDIDATES)
+        inst = mr._Instance(prob, *w)
+        got = mr._product_scan(inst, mus, mr.MAX_BLOCK_CANDIDATES)
         want = per_column_scan(inst, prob, *w, mus, mr.MAX_BLOCK_CANDIDATES)
         assert np.array_equal(got[0][0], want[0][0])
         assert np.array_equal(got[0][1], want[0][1])
@@ -328,27 +429,54 @@ class TestTableRing:
                                 ("d", 3, "cd"),  # rows 4-6, inside b's 4-7
                                 ("e", 3, "cde"),  # rows 7-9, free since b left
                                 ("f", 2, "def")]:  # wraps onto c's rows 0-3
-            ring.put(key, np.full((rows, 6), float(ord(key))))
+            ring.put(key, np.full((6, rows), float(ord(key))))
             assert {k for k in "abcdef" if ring.get(k) is not None} == set(kept), key
-        assert ring.get("e").shape == (3, 6) and (ring.get("e") == ord("e")).all()
+        assert ring.get("e").shape == (6, 3) and (ring.get("e") == ord("e")).all()
 
     def test_table_longer_than_the_ring_is_not_kept(self):
         ring = mr._TableRing(10)
-        ring.put("a", np.zeros((4, 6)))
-        ring.put("big", np.ones((11, 6)))
+        ring.put("a", np.zeros((6, 4)))
+        ring.put("big", np.ones((6, 11)))
         assert ring.get("big") is None and ring.get("a") is not None
         empty = mr._TableRing(0)
-        empty.put("a", np.zeros((1, 6)))
+        empty.put("a", np.zeros((6, 1)))
         assert empty.get("a") is None
 
     def test_hit_returns_the_bytes_put(self):
-        table = np.random.default_rng(5).standard_normal((7, 6)) * 1e-300
+        table = np.random.default_rng(5).standard_normal((6, 7)) * 1e-300
         ring = mr._TableRing(mr._RING_ROWS)
         ring.put(("k", b"\x00"), table)
         want = table.tobytes()
         table[:] = 0.0  # the ring holds a copy
         assert ring.get(("k", b"\x00")).tobytes() == want
         assert ring.get(("k", b"\x01")) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_puts_keep_exactly_the_tables_not_overwritten(self, seed):
+        # Reference rule: a put of n columns writes [lo, lo + n), with lo the
+        # write position or 0 when the table would run past the end, and
+        # keeps a table at [a, a + m) only if a + m <= lo or a >= lo + n.
+        rng = np.random.default_rng(seed)
+        cols = int(rng.integers(1, 40))
+        ring, spans, pos, tables = mr._TableRing(cols), {}, 0, {}
+        wraps = too_long = 0
+        for i in range(400):
+            key = int(rng.integers(0, 60)) if rng.random() < 0.2 else ("t", i)
+            n = int(rng.integers(1, cols + 3))
+            table = rng.standard_normal((6, n))
+            ring.put(key, table)
+            if n <= cols:
+                lo = pos if pos + n <= cols else 0
+                wraps += lo < pos
+                spans = {k: (a, m) for k, (a, m) in spans.items()
+                         if a + m <= lo or a >= lo + n}
+                spans[key], pos, tables[key] = (lo, n), lo + n, table
+            else:
+                too_long += 1
+            assert set(ring.spans) == set(spans), i
+            for k in spans:
+                assert ring.get(k).tobytes() == tables[k].tobytes(), (i, k)
+        assert wraps > 10 and too_long > 0
 
 
 class TestAscentReuse:
@@ -391,6 +519,52 @@ class TestAscentReuse:
             assert len(a.policy.inputs) == len(b.policy.inputs)
             for (a1, a2), (b1, b2) in zip(a.policy.inputs, b.policy.inputs):
                 assert np.array_equal(a1.probs, b1.probs) and np.array_equal(a2.probs, b2.probs)
+
+
+class TestAscentStart:
+    def test_stacked_stat_rows_match_one_row_calls(self):
+        # A restart's S comes from one stacked call; each of its rows must
+        # have the bits of the one-row call that recomputes it later.
+        rng = np.random.default_rng(8)
+        W = rng.dirichlet(np.ones(4), size=(3, 3))
+        ch = ie.DmChannel.mac(ie.Alphabet([0.0, 1.0, 2.0]), ie.Alphabet([0.0, 1.0, 2.0]),
+                              ie.Alphabet([0.0, 1.0, 2.0, 3.0]), W)
+        ternary = ie.MacProblem(ch, ie.CostFn([0, 1, 2]), ie.CostFn([1, 0, 3]),
+                                ie.EnergyFn([0.0, 0.5, 1.0, 2.0]), 1.0, 1.0, 0.5)
+        for prob in (make_random_mac_instance(2024), make_ternary_cost_problem(1.2), ternary):
+            inst = mr._Instance(prob, 1.0, 1.0)
+            for k in (1, 2, 4, 5):
+                for trial in range(10):
+                    A1 = rng.dirichlet(np.ones(inst.n1), size=k)
+                    A2 = rng.dirichlet(np.ones(inst.n2), size=k)
+                    if trial % 2:  # vertices and zero entries, as the grids give
+                        A1[0], A2[-1] = np.eye(inst.n1)[-1], np.eye(inst.n2)[0]
+                    stacked = mr._block_stats(inst, 0, A1[:, None, :], A2)[..., 0]
+                    assert stacked.shape == (6, k)
+                    for qi in range(k):
+                        one = mr._block_stats(inst, 0, A1[qi:qi + 1], A2[qi])[:, 0]
+                        assert stacked[:, qi].tobytes() == one.tobytes(), (k, trial, qi)
+
+    def test_q_ladder_is_built_again_only_after_q_changes(self, monkeypatch):
+        builds = []
+        real_ladder, real_ascent = mr._ladder_candidates, mr._coordinate_ascent
+
+        def ladder(grid, center, stage, factor):
+            if grid.shape[1] == 4:  # the q simplex; both inputs are binary
+                builds.append((stage, center.tobytes()))
+            return real_ladder(grid, center, stage, factor)
+
+        def ascent(*args):
+            builds.append(None)  # a new restart may start from a q seen before
+            return real_ascent(*args)
+
+        monkeypatch.setattr(mr, "_ladder_candidates", ladder)
+        monkeypatch.setattr(mr, "_coordinate_ascent", ascent)
+        prob = make_random_mac_instance(2026)
+        for b_target in (0.0, 0.9 * ie.max_received_energy(prob)[0]):
+            ie.mac_boundary_point(prob.with_target(b_target), 1.0, 1.0, 4)
+        pairs = [(a, b) for a, b in zip(builds, builds[1:]) if a and b]
+        assert len(pairs) > 20 and all(a != b for a, b in pairs)
 
 
 def dense_gaussian_oracle(power, b_target, points=1025):
