@@ -26,8 +26,9 @@ for r in rows:
     print(f"  {r.snr:>6.1f}  {r.n0:>10.5f}  {r.capacity_bits:>9.5f}  {r.p_star:>7.4f}")
 
 # The scalar search exploits the example's symmetry; the generic solver
-# searches the full input simplex and should land on the same value.
-print("\ncross-check against the generic simplex solver:")
+# knows nothing of it, optimises over all first-hop input pmfs, and should
+# land on the same value.
+print("\ncross-check against the generic solver:")
 for n0 in (4.0, 1.0, 0.25):
     scalar, p_star = mhc_example_capacity(P1, P2, n0)
     generic = mhc_capacity(example_problem(P1, P2, n0))

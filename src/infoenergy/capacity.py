@@ -2,9 +2,9 @@
 
 The discrete solver is one Blahut-Arimoto run whose every update is tilted
 by exp(-s*c(X)) with the least multiplier s >= 0 that keeps it within budget,
-so each iterate is feasible and the constraint ends up active unless the
-unconstrained update already fits.  The Gaussian case is handled in closed
-form only.
+so each iterate is feasible, and stops on Blahut's dual bound (gap_bits).
+With a gain per symbol it also traces the relay's information-energy
+frontier.  The Gaussian case is handled in closed form only.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ class CapacityResult:
     # Tilt s of input_pmf's last update: 0 when the budget does not bind,
     # inf when it pins the input to the cheapest symbols.
     multiplier: float
+    # Blahut's dual upper bound at input_pmf minus capacity_bits.
+    gap_bits: float
     # I(X;Y) in bits after each Blahut-Arimoto update.
     iterates: list = field(default_factory=list)
 
@@ -110,31 +112,42 @@ def _tilt(log_w: np.ndarray, cost: np.ndarray, budget: float, s: float):
     return r_hi, float(hi)
 
 
-def _ba(W: np.ndarray, cost: np.ndarray, budget: float, log_start: np.ndarray):
-    """Maximize I(r) over input pmfs r with E_r[cost] <= budget.
+def _ba(W: np.ndarray, cost: np.ndarray, budget: float, gain: np.ndarray | float = 0.0):
+    """Maximize I(r) + r.gain/ln2 in bits over input pmfs r with E_r[cost] <= budget.
 
-    Each Blahut-Arimoto update r <- r*exp(D - s*cost), normalised, takes the
-    least s >= 0 that keeps it within budget; that maximises the update's
-    surrogate over the feasible pmfs (Csiszar-Tusnady), so from the tilted
-    exp(log_start) on every iterate is feasible and I(r) never falls.  That
-    is checked per iteration, raising RuntimeError, because it is the
-    algorithm's correctness certificate.  Returns (r, I(r) in bits, the tilt
-    s of r, I(r) in bits after each update).
+    Each Blahut-Arimoto update r <- r*exp(D + gain - s*cost), normalised,
+    takes the least s >= 0 that keeps it within budget; that maximises the
+    update's surrogate over the feasible pmfs (Csiszar-Tusnady), so every
+    iterate is feasible and the objective never falls: the correctness
+    certificate, checked per update (RuntimeError).  A budget at the cheapest
+    cost starts on the cheapest symbols alone with no budget.  The run stops
+    once Blahut's dual bound max_x(D_x + gain_x - s*cost_x) + s*budget over
+    the symbols it started on (D_x = 0 for an underflowed input) is within
+    BA_TOL_BITS, or after BA_MAX_ITER updates.  Returns (r, I(r) in bits, the
+    tilt s of r or inf if pinned, the objective in bits after each update,
+    the bound minus the objective).
     """
+    cheap = cost <= cost.min() + 1e-12
+    pinned = budget <= cost.min() + 1e-12
+    allowed, budget = (cheap, np.inf) if pinned else (np.ones(cost.size, dtype=bool), budget)
     iterates, prev, s = [], -np.inf, 0.0
-    log_w = log_start
+    log_w = np.where(allowed, 0.0, -np.inf)
     for _ in range(BA_MAX_ITER):
         r, s = _tilt(log_w, cost, budget, s)
         r, d, info = _divergences(W, r)
-        bits = info / LN2
-        if not bits >= prev - 1e-10:
+        objective = (info + float((r * gain).sum())) / LN2
+        if not objective >= prev - 1e-10:
             raise RuntimeError("Blahut-Arimoto objective decreased during iteration")
-        iterates.append(bits)
-        if bits - prev < BA_TOL_BITS:
+        iterates.append(objective)
+        # s > 0 only under a finite budget, so 0*inf never enters the bound.
+        bound = (d + gain - s * cost)[allowed].max() + (s * budget if s else 0.0)
+        gap = bound / LN2 - objective
+        if gap < BA_TOL_BITS:
             break
-        prev = bits
-        log_w = np.log(r, where=r > 0, out=np.full(r.size, -np.inf)) + d
-    return r, bits, s, iterates
+        prev = objective
+        log_w = np.log(r, where=r > 0, out=np.full(r.size, -np.inf)) + d + gain
+    return (r, info / LN2, np.inf if pinned and not cheap.all() else s, iterates,
+            max(float(gap), 0.0))
 
 
 def dm_capacity_with_cost(
@@ -168,12 +181,5 @@ def dm_capacity_with_cost(
             f"budget {budget_eff} is below the cheapest symbol cost {min_cost}"
         )
 
-    # At the cheapest cost only the cheapest symbols fit: start on them alone
-    # with no budget, as an update never revives a zero mass.  The tilt is
-    # then infinite unless every symbol is among the cheapest.
-    cheap = cost <= min_cost + 1e-12
-    pinned = budget_eff <= min_cost + 1e-12
-    log_start = np.where(cheap, 0.0, -np.inf) if pinned else np.zeros(cost.size)
-    r, bits, s, iterates = _ba(W, cost, np.inf if pinned else budget_eff, log_start)
-    return CapacityResult(bits, Pmf(np.maximum(r, 0.0)), float(r @ cost),
-                          np.inf if pinned and not cheap.all() else s, iterates)
+    r, bits, s, iterates, gap = _ba(W, cost, budget_eff)
+    return CapacityResult(bits, Pmf(np.maximum(r, 0.0)), float(r @ cost), s, gap, iterates)

@@ -2,13 +2,11 @@
 
 The end-to-end rate is the smaller of the first-hop mutual information and
 the second-hop capacity, where the relay's transmit budget is its own supply
-plus the mean energy it harvests from the first hop.  The first-hop input
-pmf is searched on a simplex grid of at most MHC_MAX_ROWS rows and then on
-one scale ladder around the best point so far, keeping a single running
-best.  One budget-ordered scan, pruned by that running best, serves both
-kinds of second hop: only _second_hop_capacity tells the cost-constrained
-discrete solver from the closed Gaussian form.  The four-level worked
-example is solved exactly as a scalar max-min.
+plus the mean energy it harvests from the first hop.  That max-min is concave
+in the first-hop pmf, and its optimum lies on the information-energy frontier
+of the pmfs maximising I(X1;Y1) + mu*E[b(Y1)], each one capacity._ba run;
+mhc_capacity bisects mu and certifies the result by the bracket's bound.  The
+four-level worked example is solved exactly as a scalar max-min.
 """
 
 from __future__ import annotations
@@ -17,19 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import awgn_capacity, dm_capacity_with_cost
+from .capacity import BA_TOL_BITS, LN2, _ba, awgn_capacity, dm_capacity_with_cost
 from .channel import (AwgnSpec, CostFn, DmChannel, EnergyFn, InfeasibleError,
                       Pmf)
-from .mac_region import _ladder_candidates, _steps_for, simplex_grid
+from .mac_region import _cost_polytope_vertices, simplex_grid
 from .metrics import entropy_bits
 
 FEAS_TOL = 1e-9
-MHC_STEPS = 65  # simplex grid for the first-hop input pmf
-# Row cap on that grid: the 5-symbol, 65-step count.  Wider first hops get
-# fewer steps instead of a grid that grows as steps**(symbols - 1).
-MHC_MAX_ROWS = 814_385
-MHC_REFINE_FACTOR = 8  # ladder scales shrink by this factor per pass
-MHC_REFINE_PASSES = 1
+_MU_STEPS = 200  # multiplier evaluations: doublings plus bisection steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +58,9 @@ class MhcSolution:
     capacity_bits: float
     input_pmf: Pmf
     harvested_budget: float
-    relay_pmf: Pmf | None = None
+    relay_pmf: Pmf | None
+    # Certified upper bound on the two-hop capacity minus capacity_bits.
+    gap_bits: float
 
 
 def _second_hop_capacity(prob: MhcProblem, budget: float):
@@ -82,16 +77,15 @@ def _second_hop_capacity(prob: MhcProblem, budget: float):
 def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     """Best end-to-end rate over first-hop input pmfs within the cost budget.
 
-    For each candidate p(x1) the value is min(I(X1;Y1), second-hop capacity
-    at budget E[b(Y1)] + P2).  Candidates come from a MHC_STEPS simplex grid,
-    with fewer steps where that grid would exceed MHC_MAX_ROWS rows, then
-    from MHC_REFINE_PASSES scale ladders around the running best.  One scan
-    serves a discrete and a Gaussian second hop alike: each stage takes its
-    candidates in decreasing budget order and solves the second hop, once
-    per distinct budget, where I(X1;Y1) beats every earlier candidate.  The
-    second-hop capacity does not fall as the budget grows, so the scan stops
-    at the first capacity that cannot beat the running best or that binds
-    the min.
+    A pmf p gets min(I(p), C2(beta.p + P2)): beta is the mean harvest per
+    input symbol, C2 the second-hop capacity.  As mu grows, the pmf p_mu
+    maximising I(p) + mu*beta.p within budget harvests more and carries less,
+    so mu is bisected on whether I(p_mu) > C2, after doubling from 1.  A pmf
+    harvesting at least p_lo's carries at most I(p_lo) + gap_lo, one
+    harvesting at most p_hi's gets at most C2(beta.p_hi + P2) + gap_hi (gap:
+    the kernel's), and none gets more than C2 at the largest harvest.  The
+    search stops once the least of these caps is within BA_TOL_BITS of the
+    best rate seen; gap_bits is their difference, with C2 taken as solved.
     """
     W1 = prob.hop1.transition
     c1 = prob.c1.values
@@ -99,39 +93,38 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
         raise InfeasibleError(
             f"budget {prob.p1_budget} is below the cheapest hop-1 symbol cost {c1.min()}")
     beta = W1 @ prob.b.values  # mean harvested energy per input symbol
-    h_rows = entropy_bits(W1)
-    n1 = W1.shape[0]
-    grid = simplex_grid(n1, min(MHC_STEPS, _steps_for(n1, MHC_MAX_ROWS)))
-    # The cheapest vertex is within budget, so every stage has a candidate.
-    best_val, p1, record = -np.inf, None, None
-    solved = {}  # relay budget -> (bits, relay pmf)
-    for stage in range(MHC_REFINE_PASSES + 1):
-        cands = _ladder_candidates(grid, p1, stage, MHC_REFINE_FACTOR)
-        cands = cands[cands @ c1 <= prob.p1_budget + FEAS_TOL]
-        i1 = entropy_bits(cands @ W1) - cands @ h_rows
-        budgets = cands @ beta + prob.p2_budget
-        order = np.argsort(-budgets)
-        # The scan goes on only past a candidate whose i1 became best_val, so
-        # only an i1 above every earlier one (and the last stage's best) can
-        # raise best_val: the second hop is solved at those records alone.
-        i1_sorted = i1[order]
-        i1_seen = np.maximum.accumulate(np.concatenate(([best_val], i1_sorted[:-1])))
-        for j in order[i1_sorted > i1_seen]:
-            budget = float(budgets[j])
-            # A ladder point can carry the same budget bits as a candidate of
-            # an earlier stage; that budget's second hop is solved once.
-            if budget not in solved:
-                solved[budget] = _second_hop_capacity(prob, budget)
-            g, relay_pmf = solved[budget]
-            if g <= best_val:
-                break  # budgets only shrink from here on
-            # Both terms beat it; the record keeps its scored budget and solve.
-            best_val, p1, record = min(float(i1[j]), g), cands[j], (budget, relay_pmf)
-            if g <= i1[j]:
-                break  # hop 2 binds, and no later budget buys more of it
+    shifted = LN2 * (beta - beta.max())  # <= 0: a large mu cannot swamp I
 
-    budget, relay_pmf = record
-    return MhcSolution(max(best_val, 0.0), Pmf(np.maximum(p1, 0.0)), budget, relay_pmf)
+    def frontier(mu):
+        """(I, C2, kernel gap, (rate, pmf, relay budget, relay pmf)) at p_mu."""
+        r, i1, _, _, gap = _ba(W1, c1, prob.p1_budget, mu * shifted)
+        budget = float(r @ beta) + prob.p2_budget
+        c2, relay_pmf = _second_hop_capacity(prob, budget)
+        return i1, c2, gap, (min(i1, c2), r, budget, relay_pmf)
+
+    i1, c2, gap, best = frontier(0.0)
+    upper_i, upper_c = i1 + gap, np.inf  # upper_i bounds the hop-1 capacity
+    if i1 > c2:  # hop 2 binds at mu = 0 (else p_0 is optimal): buy harvest
+        e_max = (_cost_polytope_vertices(c1, max(prob.p1_budget, c1.min())) @ beta).max()
+        top = max(float(e_max) + prob.p2_budget, best[2])
+        upper_c = c2 if top == best[2] else _second_hop_capacity(prob, top)[0]
+        lo, hi = 0.0, None
+        for _ in range(_MU_STEPS):
+            if min(upper_i, upper_c) - best[0] < BA_TOL_BITS:
+                break
+            mu = (2.0 * lo or 1.0) if hi is None else 0.5 * (lo + hi)
+            if hi is not None and not lo < mu < hi:
+                break
+            i1, c2, gap, point = frontier(mu)
+            best = max(best, point, key=lambda b: b[0])
+            if i1 > c2:
+                lo, upper_i = mu, min(upper_i, i1 + gap)
+            else:
+                hi, upper_c = mu, min(upper_c, c2 + gap)
+
+    value, pmf, budget, relay_pmf = best
+    return MhcSolution(max(value, 0.0), Pmf(pmf), budget, relay_pmf,
+                       max(float(min(upper_i, upper_c)) - value, 0.0))
 
 
 def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:

@@ -5,6 +5,24 @@ import pytest
 
 import infoenergy as ie
 from conftest import binary_entropy, make_bsc
+from infoenergy.capacity import BA_TOL_BITS
+
+
+def dual_bound_bits(W, cost, budget, r):
+    """Blahut's upper bound min over s >= 0 of max_x(D(W_x || rW) - s*cost_x)
+    + s*budget at the input pmf r, in bits.  It is convex and piecewise linear
+    in s, so its minimum is at s = 0 or where two of the lines cross."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(W > 0, W * np.log2(W / (r @ W)), 0.0).sum(axis=1)
+        cross = (d[:, None] - d[None, :]) / (cost[:, None] - cost[None, :])
+    s = np.concatenate(([0.0], cross[np.isfinite(cross) & (cross > 0)]))
+    return float(((d - s[:, None] * cost).max(axis=1) + s * budget).min())
+
+
+def make_z_channel(flip: float) -> ie.DmChannel:
+    """Input 0 is received clean; input 1 flips to 0 with probability flip."""
+    bits = ie.Alphabet([0.0, 1.0])
+    return ie.DmChannel.point_to_point(bits, bits, [[1.0, 0.0], [flip, 1.0 - flip]])
 
 
 class TestAwgnCapacity:
@@ -92,7 +110,9 @@ class TestDmCapacityWithCost:
 
     def test_decreasing_iterate_raises(self, monkeypatch):
         # The monotonicity certificate is an explicit check, not an assert,
-        # so it also holds under python -O.
+        # so it also holds under python -O.  A Z-channel needs several
+        # iterates (a BSC is optimal at its uniform start), so the shifted
+        # divergences are compared.
         from infoenergy import capacity
 
         shift = iter(range(10_000))
@@ -100,7 +120,42 @@ class TestDmCapacityWithCost:
         monkeypatch.setattr(capacity, "_divergence_rows",
                             lambda W, q: real(W, q) - next(shift))
         with pytest.raises(RuntimeError, match="decreased"):
-            ie.dm_capacity_with_cost(make_bsc(0.11))
+            ie.dm_capacity_with_cost(make_z_channel(0.3))
+
+    def test_within_tolerance_of_the_dual_bound(self):
+        """150 random constrained channels (the seed-4242 law): each result is
+        within BA_TOL_BITS of Blahut's dual bound at its own pmf, so of the
+        capacity, and its gap_bits covers that bound.  Under a 1e-7-bit
+        increment stop the bound exceeded 126 of the 150 results, by up to
+        4.6e-4 bits."""
+        rng = np.random.default_rng(4242)
+        for _ in range(150):
+            n, m = rng.integers(2, 6, size=2)
+            W = rng.dirichlet(0.7 * np.ones(m), size=n)
+            c = rng.uniform(0.0, 2.0, size=n)
+            budget = float(rng.uniform(c.min(), c.max()))
+            ch = ie.DmChannel.point_to_point(
+                ie.Alphabet(np.arange(n, dtype=float)), ie.Alphabet(np.arange(m, dtype=float)), W)
+            res = ie.dm_capacity_with_cost(ch, ie.CostFn(c), budget)
+            bound = dual_bound_bits(W, c, budget, res.input_pmf.probs)
+            assert bound - res.capacity_bits <= BA_TOL_BITS
+            assert bound - res.capacity_bits <= res.gap_bits + 1e-12
+            assert res.gap_bits <= BA_TOL_BITS
+            assert res.capacity_bits == pytest.approx(
+                ie.mutual_information(res.input_pmf, ch), abs=1e-12)
+            assert res.expected_cost <= budget
+
+    def test_iteration_cap_shows_in_the_gap(self, monkeypatch):
+        """A run cut off at BA_MAX_ITER reports a gap above BA_TOL_BITS."""
+        from infoenergy import capacity
+
+        full = ie.dm_capacity_with_cost(make_z_channel(0.3))
+        assert len(full.iterates) > 3 and full.gap_bits <= BA_TOL_BITS
+        monkeypatch.setattr(capacity, "BA_MAX_ITER", 3)
+        cut = ie.dm_capacity_with_cost(make_z_channel(0.3))
+        assert len(cut.iterates) == 3
+        assert cut.gap_bits > BA_TOL_BITS
+        assert cut.capacity_bits + cut.gap_bits >= full.capacity_bits
 
     def test_underflowed_input_reaching_its_own_output(self):
         # The 1000-cost symbol's mass underflows to 0 while it alone reaches

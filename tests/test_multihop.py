@@ -5,8 +5,26 @@ import pytest
 
 import infoenergy as ie
 from conftest import make_bsc
+from infoenergy.capacity import BA_TOL_BITS
+from infoenergy.metrics import entropy_bits
 
 LOG2_9_HALF = 0.5 * np.log2(9.0)
+
+
+def random_relay_pairs(seed: int = 77, count: int = 40):
+    """3-symbol discrete hop pairs: Dirichlet(0.7) rows, costs and energies
+    U[0, 2], P1 uniform between the cheapest and dearest hop-1 cost, and
+    P2 ~ U[0, 0.5]."""
+    rng = np.random.default_rng(seed)
+    levels = ie.Alphabet(np.arange(3.0))
+    for _ in range(count):
+        W1, W2 = rng.dirichlet(0.7 * np.ones(3), size=(2, 3))
+        c1, c2, b = rng.uniform(0.0, 2.0, size=(3, 3))
+        p1 = rng.uniform(c1.min(), c1.max())
+        p2 = rng.uniform(0.0, 0.5)
+        yield ie.MhcProblem(ie.DmChannel.point_to_point(levels, levels, W1),
+                            ie.DmChannel.point_to_point(levels, levels, W2),
+                            ie.CostFn(c1), ie.CostFn(c2), ie.EnergyFn(b), p1, p2)
 
 
 def make_dm_dm_instance(kind: str) -> ie.MhcProblem:
@@ -81,29 +99,28 @@ class TestMhcCapacity:
             with pytest.raises(ValueError, match="finite"):
                 ie.MhcProblem(prob.hop1, prob.hop2, prob.c1, prob.c2, prob.b, p1, p2)
 
-    def test_first_hop_grid_row_cap(self, monkeypatch):
-        """A 6-symbol first hop gets a coarser grid, not one of 11.2M rows."""
-        from math import comb
+    @pytest.mark.parametrize("symbols, p1", [(6, 1.0), (6, 5.0), (12, 11.0)])
+    def test_wide_first_hop_bounded_memory(self, symbols, p1):
+        """Wide first hops take little memory, also under budgets that admit
+        every symbol: a simplex grid over them needed hundreds of MiB."""
+        import tracemalloc
 
-        from infoenergy import multihop
-
-        real = multihop.simplex_grid
-        cap = comb(65 - 1 + 4, 4)  # the 5-symbol, 65-step grid
-
-        def capped(dim, steps):
-            rows = comb(steps - 1 + dim - 1, dim - 1)
-            assert rows <= cap, f"{rows} grid rows requested"
-            return real(dim, steps)
-
-        monkeypatch.setattr(multihop, "simplex_grid", capped)
-        levels = ie.Alphabet(np.arange(6.0))
-        hop1 = ie.DmChannel.point_to_point(levels, levels, 0.9 * np.eye(6) + 0.1 / 6)
-        prob = ie.MhcProblem(hop1, ie.AwgnSpec(1.0), ie.CostFn(np.arange(6.0)), None,
-                             ie.EnergyFn(np.arange(6.0)), 1.0, 0.5)
-        sol = ie.mhc_capacity(prob)
-        assert sol.input_pmf.probs @ np.arange(6.0) <= 1.0 + 1e-9
+        levels = ie.Alphabet(np.arange(float(symbols)))
+        hop1 = ie.DmChannel.point_to_point(
+            levels, levels, 0.9 * np.eye(symbols) + 0.1 / symbols)
+        prob = ie.MhcProblem(hop1, ie.AwgnSpec(1.0), ie.CostFn(np.arange(float(symbols))),
+                             None, ie.EnergyFn(np.arange(float(symbols))), p1, 0.5)
+        tracemalloc.start()
+        try:
+            sol = ie.mhc_capacity(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert sol.input_pmf.probs @ np.arange(float(symbols)) <= p1 + 1e-9
         assert 0.0 < sol.capacity_bits <= ie.dm_capacity_with_cost(
-            hop1, prob.c1, 1.0).capacity_bits + 1e-9
+            hop1, prob.c1, p1).capacity_bits + 1e-9
+        assert sol.gap_bits <= BA_TOL_BITS
 
     @pytest.mark.parametrize("eps1, eps2, c1, c2, energy, p1, p2", [
         (0.85, 0.7, [0.0, 1.0, 4.0], [0.0, 1.0, 4.0], [0.0, 1.0, 4.0], 1.5, 0.2),
@@ -145,9 +162,9 @@ class TestMhcCapacity:
     def test_monotone_in_budgets_and_energy(self):
         """More first-hop power, relay supply, or harvest never hurts.
 
-        Run on the default solver, whose refinement ladder is centred on each
-        instance's own grid optimum: the candidate sets need not nest, but on
-        these instances every comparison holds to 1e-12.
+        Each solve is certified only to within its gap_bits, but here the
+        harvest is proportional to the hop-1 cost, so the cost tilt absorbs
+        every multiplier and every comparison holds to 1e-12.
         """
         base = ie.example_problem(2.0, 0.5, 1.0)
         cap = ie.mhc_capacity(base).capacity_bits
@@ -168,6 +185,52 @@ class TestMhcCapacity:
         hop2_cap = ie.dm_capacity_with_cost(
             prob.hop2, prob.c2, prob.p2_budget + float(prob.b.values.max()))
         assert sol.capacity_bits <= hop2_cap.capacity_bits + 1e-9
+
+    def test_trickle_pair_reaches_the_frontier_crossing(self):
+        """A clean first hop that harvests little, so the relay budget sets
+        the rate; a 65-step grid with one ladder stopped 1.7e-4 bits short."""
+        levels = ie.Alphabet(np.arange(3.0))
+        eye = np.eye(3)
+        hop1 = ie.DmChannel.point_to_point(levels, levels, 0.94 * eye + 0.02)
+        hop2 = ie.DmChannel.point_to_point(levels, levels, 0.9 * eye + 1 / 30)
+        prob = ie.MhcProblem(hop1, hop2, ie.CostFn([0.0, 0.5, 1.0]), ie.CostFn([0.0, 1.0, 2.0]),
+                             ie.EnergyFn([0.0, 0.2, 0.5]), 0.8, 0.1)
+        sol = ie.mhc_capacity(prob)
+        assert sol.capacity_bits >= 0.9185394 - BA_TOL_BITS
+        assert sol.gap_bits <= BA_TOL_BITS
+        i1 = ie.mutual_information(sol.input_pmf, hop1)
+        i2 = ie.mutual_information(sol.relay_pmf, hop2)
+        assert sol.capacity_bits == pytest.approx(min(i1, i2), abs=1e-12)
+        assert sol.relay_pmf.probs @ [0.0, 1.0, 2.0] <= sol.harvested_budget + 1e-12
+
+    def test_at_least_the_cutset_grid_on_random_pairs(self):
+        """The grid scan fell 3.0e-5 bits below the joint grid on one of these."""
+        for prob in random_relay_pairs():
+            sol = ie.mhc_capacity(prob)
+            assert sol.capacity_bits >= ie.cutset_joint_oracle(prob, steps=21)
+            assert sol.gap_bits <= BA_TOL_BITS
+            assert sol.input_pmf.probs @ prob.c1.values <= prob.p1_budget + 1e-12
+
+    @pytest.mark.parametrize("p1, n0", [(0.3, 1.0), (1.0, 4.0), (0.6, 2.0), (1.0, 30.0),
+                                        (0.5, 8.0)])
+    def test_certified_bound_covers_a_dense_scan(self, p1, n0):
+        """A binary first hop and a Gaussian second hop: the max-min over
+        200,001 first-hop pmfs is at most capacity_bits + gap_bits.  Hop 1
+        binds at (0.3, 1.0), hop 2 at the largest harvest at (0.5, 8.0), and
+        the others balance the hops inside the cost budget."""
+        hop1 = ie.DmChannel.point_to_point(
+            ie.Alphabet([0.0, 1.0]), ie.Alphabet([0.0, 1.0]), [[0.9, 0.1], [0.25, 0.75]])
+        beta = hop1.transition @ np.array([0.2, 2.0])
+        prob = ie.MhcProblem(hop1, ie.AwgnSpec(n0), ie.CostFn([0.0, 1.0]), None,
+                             ie.EnergyFn([0.2, 2.0]), p1, 0.1)
+        sol = ie.mhc_capacity(prob)
+        t = np.linspace(0.0, min(p1, 1.0), 200_001)  # the mass on the dear symbol
+        pmfs = np.stack([1.0 - t, t], axis=1)
+        i1 = entropy_bits(pmfs @ hop1.transition) - pmfs @ entropy_bits(hop1.transition)
+        scan = np.minimum(i1, ie.awgn_capacity(pmfs @ beta + 0.1, n0)).max()
+        assert scan <= sol.capacity_bits + sol.gap_bits + 1e-12
+        assert sol.capacity_bits >= scan - 1e-6
+        assert sol.gap_bits <= BA_TOL_BITS
 
 
 class TestCutsetOracle:
