@@ -87,6 +87,64 @@ class FixedUniforms:
         return self.u
 
 
+def per_trial_scores(cb1, cb2, sampler, trials, seed):
+    """Reference ML decoder: one trial at a time, one symbol's gather per step.
+
+    A frozen copy of simulate_decode before it decoded trials in blocks.
+    Returns the sent flat pair index, m1 * M2 + m2, and the flat score table
+    of every trial.
+    """
+    m1_count, m2_count = cb1.message_count, cb2.message_count
+    if sampler.discrete:
+        x1, x2 = cb1.words, cb2.words
+        with np.errstate(divide="ignore"):
+            log_w = np.log(sampler.channel.transition)
+
+        def log_likelihood(y):
+            ll = np.zeros((m1_count, m2_count))
+            for i in range(cb1.n):
+                ll += log_w[x1[:, i][:, None], x2[:, i][None, :], y[i]]
+            return ll
+    else:
+        x1, x2 = cb1.codewords, cb2.codewords
+
+        def log_likelihood(y):
+            ll = np.empty((m1_count, m2_count))
+            for a in range(m1_count):
+                diff = y[None, :] - x1[a][None, :] - x2
+                ll[a] = -(diff * diff).sum(axis=1)
+            return ll
+
+    sent, scores = [], []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        m1 = int(rng.integers(m1_count))
+        m2 = int(rng.integers(m2_count))
+        sent.append(m1 * m2_count + m2)
+        scores.append(log_likelihood(sampler.sample(x1[m1], x2[m2], rng)).ravel())
+    return np.array(sent), np.array(scores)
+
+
+def block_scores(cb1, cb2, sampler, trials, seed):
+    """simulate_decode's sent pairs and scores, and the number of blocks it used."""
+    blocks = [(sent, scores.copy())
+              for sent, scores in ie.linksim._block_scores(cb1, cb2, sampler, trials, seed)]
+    return (np.concatenate([sent for sent, _ in blocks]),
+            np.concatenate([scores for _, scores in blocks]), len(blocks))
+
+
+def random_discrete_mac(rs, zeros: bool) -> ie.DmChannel:
+    """2-4 symbols per alphabet; with zeros, some transitions are impossible."""
+    n1, n2, ny = rs.integers(2, 5, size=3)
+    W = rs.dirichlet(np.ones(ny), size=(n1, n2))
+    if zeros:
+        W[rs.random(W.shape) < 0.3] = 0.0
+        W[..., 0] += W.sum(axis=-1) == 0.0  # keep every row a distribution
+        W /= W.sum(axis=-1, keepdims=True)
+    return ie.DmChannel.mac(ie.Alphabet(np.arange(n1)), ie.Alphabet(np.arange(n2)),
+                            ie.Alphabet(np.arange(ny)), W)
+
+
 class TestGenerateCodebook:
     def test_degenerate_policy_constant_words(self):
         cb = ie.generate_codebook(ie.Pmf.degenerate(4, 2), 50, 4 / 50,
@@ -550,6 +608,136 @@ class TestSimulateDecode:
         big = ie.Codebook(np.zeros((2048, 1)))
         with pytest.raises(ValueError, match="too large"):
             ie.simulate_decode(big, big, ie.GaussianMacSampler(1.0), 1, seed=0)
+
+    def test_mismatched_q_sequences_rejected(self):
+        adder = make_binary_adder()
+        two = ie.Alphabet([0.0, 1.0])
+        pol = ie.TimeSharingPolicy(ie.Pmf.uniform(2), (
+            (ie.Pmf.uniform(2), ie.Pmf.uniform(2)), (ie.Pmf([0.9, 0.1]), ie.Pmf([0.1, 0.9]))))
+        cb1, _ = ie.generate_mac_codebooks(pol, 40, 2 / 40, 2 / 40, alphabets=(two, two), seed=1)
+        _, cb2 = ie.generate_mac_codebooks(pol, 40, 2 / 40, 2 / 40, alphabets=(two, two), seed=2)
+        assert not np.array_equal(cb1.q_seq, cb2.q_seq)
+        with pytest.raises(ValueError, match="codebooks were built on different Q sequences"):
+            ie.simulate_decode(cb1, cb2, ie.DmMacSampler(adder), 10, seed=3)
+
+    def test_symbols_outside_the_channel_alphabet_rejected(self):
+        adder = make_binary_adder()
+        three = ie.Alphabet([0.0, 1.0, 2.0])
+        words = np.zeros((4, 8), dtype=np.uint8)
+        words[3, 5] = 2  # one symbol of one codeword
+        cb1 = ie.Codebook(words, None, three)
+        cb2 = ie.generate_codebook(ie.Pmf.uniform(2), 8, 2 / 8,
+                                   alphabet=adder.input_alphabets[1], seed=1)
+        with pytest.raises(ValueError, match="outside the channel's input alphabets"):
+            ie.simulate_decode(cb1, cb2, ie.DmMacSampler(adder), 5, seed=2)
+
+    @pytest.mark.parametrize("kind, mib", [("discrete", 18), ("gaussian", 10)])
+    def test_bounded_memory_at_the_size_guard(self, kind, mib):
+        """2**20 pairs decode with one 8 MiB score table live, and one term of it if discrete."""
+        import tracemalloc
+
+        if kind == "discrete":
+            adder = make_binary_adder()
+            x = adder.input_alphabets[0]
+            sampler = ie.DmMacSampler(ie.DmChannel.mac(x, x, adder.output_alphabet,
+                                                       0.9 * adder.transition + 0.1 / 3))
+            cb1 = ie.generate_codebook(ie.Pmf.uniform(2), 12, 10 / 12, alphabet=x, seed=1)
+            cb2 = ie.generate_codebook(ie.Pmf.uniform(2), 12, 10 / 12, alphabet=x, seed=2)
+        else:
+            sampler = ie.GaussianMacSampler(1.0)
+            cb1, cb2 = ie.generate_mac_codebooks(ie.GaussianPhasePolicy(1.0, 1.0, 0.0), 12,
+                                                 10 / 12, 10 / 12, seed=1)
+        assert cb1.message_count * cb2.message_count == 1 << 20
+        tracemalloc.start()
+        try:
+            ie.simulate_decode(cb1, cb2, sampler, 3, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
+
+
+class TestBlockDecodeMatchesPerTrial:
+    """Blocked decoding sends, scores and decodes every trial as a one-trial loop does."""
+
+    @staticmethod
+    def _check(cb1, cb2, sampler, trials, seed, blocks=None):
+        sent, scores, used = block_scores(cb1, cb2, sampler, trials, seed)
+        ref_sent, ref_scores = per_trial_scores(cb1, cb2, sampler, trials, seed)
+        assert np.array_equal(sent, ref_sent)
+        assert scores.tobytes() == ref_scores.tobytes()
+        ref_decoded = [int(np.argmax(row)) for row in ref_scores]
+        assert np.array_equal(scores.argmax(axis=1), ref_decoded)
+        assert ie.simulate_decode(cb1, cb2, sampler, trials, seed) == (
+            np.count_nonzero(ref_sent != ref_decoded) / trials)
+        if blocks is not None:
+            assert used == blocks
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_discrete_macs(self, seed, monkeypatch):
+        rs = np.random.default_rng(seed)
+        ch = random_discrete_mac(rs, zeros=seed % 3 == 0)
+        n = int(rs.integers(4, 30))
+        pols = [ie.Pmf(rs.dirichlet(np.ones(len(a)))) for a in ch.input_alphabets]
+        cb1, cb2 = (ie.generate_codebook(pol, n, int(rs.integers(1, 5)) / n, alphabet=a,
+                                         seed=int(rs.integers(100)))
+                    for pol, a in zip(pols, ch.input_alphabets))
+        sampler = ie.DmMacSampler(ch)
+        per_trial = max(cb1.message_count * cb2.message_count, n)
+        trials = int(rs.integers(20, 60))
+        self._check(cb1, cb2, sampler, trials, seed, blocks=1)
+        for k in (1, 3, 7):
+            monkeypatch.setattr(ie.linksim, "_BLOCK_VALUES", k * per_trial)
+            self._check(cb1, cb2, sampler, trials, seed, blocks=-(-trials // k))
+
+    def test_zero_probability_outputs(self):
+        """A noiseless adder puts -inf on most pairs; ties break to the first pair."""
+        ch = make_binary_adder()
+        two = ch.input_alphabets[0]
+        cb1 = ie.generate_codebook(ie.Pmf.uniform(2), 6, 3 / 6, alphabet=two, seed=21)
+        cb2 = ie.generate_codebook(ie.Pmf.uniform(2), 6, 3 / 6, alphabet=two, seed=22)
+        self._check(cb1, cb2, ie.DmMacSampler(ch), 50, seed=23)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_gaussian_pairs(self, seed, monkeypatch):
+        rs = np.random.default_rng(100 + seed)
+        n = int(rs.integers(5, 300))
+        pol = ie.GaussianPhasePolicy(float(rs.uniform(0.3, 1.0)), float(rs.uniform(0.1, 3.0)),
+                                     float(rs.uniform(0.0, 2.0)))
+        cb1, cb2 = ie.generate_mac_codebooks(pol, n, int(rs.integers(1, 5)) / n,
+                                             int(rs.integers(1, 5)) / n, seed=seed)
+        sampler = ie.GaussianMacSampler(float(rs.uniform(0.5, 50.0)))
+        trials = int(rs.integers(10, 40))
+        self._check(cb1, cb2, sampler, trials, seed)
+        per_trial = cb2.message_count * max(cb1.message_count, n)
+        for k in (1, 4):
+            monkeypatch.setattr(ie.linksim, "_BLOCK_VALUES", k * per_trial)
+            self._check(cb1, cb2, sampler, trials, seed, blocks=-(-trials // k))
+
+    @pytest.mark.parametrize("trials", [1, 4, 5, 6, 11])
+    def test_trial_counts_straddle_blocks(self, trials, monkeypatch):
+        ch = random_discrete_mac(np.random.default_rng(7), zeros=True)
+        cb1, cb2 = (ie.generate_codebook(ie.Pmf.uniform(len(a)), 10, 3 / 10, alphabet=a,
+                                         seed=30 + i)
+                    for i, a in enumerate(ch.input_alphabets))
+        monkeypatch.setattr(ie.linksim, "_BLOCK_VALUES", 5 * 64)
+        self._check(cb1, cb2, ie.DmMacSampler(ch), trials, seed=8, blocks=-(-trials // 5))
+
+    @pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+    def test_one_trial_per_block_past_the_block_bound(self, kind, monkeypatch):
+        monkeypatch.setattr(ie.linksim, "_BLOCK_VALUES", 32)
+        if kind == "discrete":
+            ch = random_discrete_mac(np.random.default_rng(9), zeros=False)
+            cb1, cb2 = (ie.generate_codebook(ie.Pmf.uniform(len(a)), 12, 3 / 12, alphabet=a,
+                                             seed=40 + i)
+                        for i, a in enumerate(ch.input_alphabets))
+            sampler = ie.DmMacSampler(ch)
+        else:
+            cb1, cb2 = ie.generate_mac_codebooks(ie.GaussianPhasePolicy(0.7, 1.0, 0.5), 12,
+                                                 3 / 12, 3 / 12, seed=41)
+            sampler = ie.GaussianMacSampler(4.0)
+        assert cb1.message_count * cb2.message_count > ie.linksim._BLOCK_VALUES
+        self._check(cb1, cb2, sampler, 7, seed=10, blocks=7)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
