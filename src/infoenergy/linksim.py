@@ -3,10 +3,10 @@
 Codebooks are drawn i.i.d. from a generation policy, with per-codeword cost
 screening by rejection so the blockwise budget holds exactly.  Each codebook
 reads one random stream derived from its seed and each trial one derived from
-(seed, trial index), so reruns give bit-identical reports.  ML decoding
-scores a block of trials at a time; each trial keeps its own stream and its
-log-likelihoods are added in symbol order, so the error rate is the same bit
-for bit as decoding one trial at a time.
+(seed, trial index), so reruns give bit-identical reports.  A trial draws
+its messages, then the channel output, then the relay's block.  All three
+simulators run trials in blocks through one loop, which changes no result,
+and reject codeword symbols outside the channel's input alphabets.
 
 The relay budget check uses the per-block reading of the harvesting
 constraint: the relay observes a whole received block, then spends at most
@@ -249,6 +249,7 @@ class DmMacSampler(_DiscreteSampler):
     _mac = True
 
     def sample(self, x1_idx, x2_idx, rng) -> np.ndarray:
+        """Positions are not range-checked: a sender-2 one too large reads another pair's row."""
         inputs = np.asarray(x1_idx, dtype=np.intp) * self.channel.transition.shape[1] + x2_idx
         return self._draw(inputs, rng)
 
@@ -259,6 +260,7 @@ class DmPointToPointSampler(_DiscreteSampler):
     _mac = False
 
     def sample(self, x_idx, rng) -> np.ndarray:
+        """Positions are not range-checked."""
         return self._draw(x_idx, rng)
 
 
@@ -289,7 +291,27 @@ def _trial_inputs(sampler, trials: int, *codebooks: Codebook) -> list:
         return [cb.codewords for cb in codebooks]
     if any(cb.alphabet is None for cb in codebooks):
         raise ValueError("discrete samplers need codebooks drawn on an alphabet")
+    if any(cb.words.max() >= k for cb, k in zip(codebooks, sampler.channel.transition.shape)):
+        raise ValueError("codewords use symbols outside the channel's input alphabets")
     return [cb.words for cb in codebooks]
+
+
+def _trial_blocks(sampler, xs, trials: int, seed: int, per_trial: int):
+    """Yield each block of trials' sent messages (codebooks, k), outputs (k, n) and streams.
+
+    Trial t draws from _trial_rng(seed, t) one uniform message per array of
+    ``xs``, then its output; the caller draws the relay's block from the yielded
+    stream.  Blocks of max(1, _BLOCK_VALUES // per_trial) trials change no number.
+    """
+    block = min(trials, max(1, _BLOCK_VALUES // per_trial))
+    for start in range(0, trials, block):
+        rngs = [_trial_rng(seed, t) for t in range(start, min(start + block, trials))]
+        sent = np.empty((len(xs), len(rngs)), dtype=np.intp)
+        y = np.empty((len(rngs), xs[0].shape[1]), dtype=np.intp if sampler.discrete else float)
+        for j, rng in enumerate(rngs):
+            sent[:, j] = [rng.integers(len(x)) for x in xs]
+            y[j] = sampler.sample(*(x[m] for x, m in zip(xs, sent[:, j])), rng)
+        yield sent, y, rngs
 
 
 def _energy_fn(b, sampler):
@@ -313,16 +335,11 @@ def simulate_mac_energy(cb1: Codebook, cb2: Codebook, sampler, b, b_target: floa
     Per trial the pair is uniform, the channel is sampled symbol by symbol,
     and the block average of b is compared against b_target - eps.
     """
-    x1, x2 = _trial_inputs(sampler, trials, cb1, cb2)
+    xs = _trial_inputs(sampler, trials, cb1, cb2)
     energy = _energy_fn(b, sampler)
-
-    bn = np.empty(trials)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        m1 = int(rng.integers(cb1.message_count))
-        m2 = int(rng.integers(cb2.message_count))
-        bn[t] = energy(sampler.sample(x1[m1], x2[m2], rng)).sum() / cb1.n
-
+    # Row sums of the contiguous (k, n) outputs add up as each one-trial sum did.
+    bn = np.concatenate([energy(y).sum(axis=1) / cb1.n
+                         for _, y, _ in _trial_blocks(sampler, xs, trials, seed, cb1.n)])
     se = float(bn.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return SimReport(cb1.n, trials, seed, float(bn.mean()),
                      float((bn < b_target - eps).mean()), float("nan"),
@@ -370,18 +387,15 @@ def simulate_mhc_harvest(cb1: Codebook, sampler, relay, b, p2_budget: float,
     let the relay emit its block, and flag trials where the relay's block cost,
     the mean square of its block, exceeds harvested energy plus its own supply.
     """
-    (x1,) = _trial_inputs(sampler, trials, cb1)
+    xs = _trial_inputs(sampler, trials, cb1)
     energy = _energy_fn(b, sampler)
-    harvested = np.empty(trials)
-    violations = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        m = int(rng.integers(cb1.message_count))
-        harvested[t] = energy(sampler.sample(x1[m], rng)).sum() / cb1.n
-        x2 = relay.transmit(harvested[t] + p2_budget, cb1.n, rng)
-        if np.square(x2).sum() / cb1.n > harvested[t] + p2_budget + COST_SLACK:
-            violations += 1
-
+    harvested, violations = [], 0
+    for _, y, rngs in _trial_blocks(sampler, xs, trials, seed, cb1.n):
+        for h, rng in zip(energy(y).sum(axis=1) / cb1.n, rngs):
+            x2 = relay.transmit(h + p2_budget, cb1.n, rng)
+            violations += int(np.square(x2).sum() / cb1.n > h + p2_budget + COST_SLACK)
+            harvested.append(h)
+    harvested = np.array(harvested)
     se = float(harvested.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return SimReport(cb1.n, trials, seed, float(harvested.mean()), float("nan"),
                      float("nan"), violations / trials, se)
@@ -391,12 +405,11 @@ def _block_scores(cb1: Codebook, cb2: Codebook, sampler, trials: int, seed: int)
     """Yield each block of trials' sent pairs and log-likelihood scores of every pair.
 
     Pairs are flat indices m1 * M2 + m2; the scores are (trials in block,
-    M1 * M2) and are overwritten by the next block.  Each trial draws its
-    pair and channel output from its own stream, as a one-trial loop would,
-    and its scores are summed over the symbols in order, bit for bit as a
-    one-trial sum.  A block holds at most _BLOCK_VALUES scores or one trial's
-    largest array, whichever is more: the scores, the outputs, or a Gaussian
-    row's differences (M2, n) per codeword of the first sender.
+    M1 * M2) and are overwritten by the next block.  Each trial's scores are
+    summed over the symbols in order, bit for bit as a one-trial sum.  A block
+    holds at most _BLOCK_VALUES scores or one trial's largest array, whichever
+    is more: the scores, the outputs, or a Gaussian row's differences (M2, n)
+    per codeword of the first sender.
     """
     m1_count, m2_count = cb1.message_count, cb2.message_count
     if m1_count * m2_count > 1 << 20:
@@ -406,33 +419,22 @@ def _block_scores(cb1: Codebook, cb2: Codebook, sampler, trials: int, seed: int)
     if sampler.discrete:
         with np.errstate(divide="ignore"):
             log_wy = np.moveaxis(np.log(sampler.channel.transition), -1, 0)  # (ny, n1, n2)
-        if x1.max() >= log_wy.shape[1] or x2.max() >= log_wy.shape[2]:
-            raise ValueError("codewords use symbols outside the channel's input alphabets")
         per_trial = max(m1_count * m2_count, n)
     else:
         per_trial = m2_count * max(m1_count, n)
-    block = min(trials, max(1, _BLOCK_VALUES // per_trial))
 
-    # Reused across blocks, so one score table and at most one term are live.
-    ll = np.empty((block, m1_count, m2_count))
-    term = np.empty_like(ll) if sampler.discrete else None
-    for start in range(0, trials, block):
-        k = min(block, trials - start)
-        sent = np.empty(k, dtype=np.intp)
-        y = np.empty((k, n), dtype=np.intp if sampler.discrete else float)
-        for j in range(k):
-            rng = _trial_rng(seed, start + j)
-            m1 = int(rng.integers(m1_count))
-            m2 = int(rng.integers(m2_count))
-            sent[j] = m1 * m2_count + m2
-            y[j] = sampler.sample(x1[m1], x2[m2], rng)
-        scores = ll[:k]
+    ll = term = None  # sized by the first, largest block; one table and term stay live
+    for (m1, m2), y, _ in _trial_blocks(sampler, (x1, x2), trials, seed, per_trial):
+        if ll is None:
+            ll = np.empty((len(y), m1_count, m2_count))
+            term = np.empty_like(ll) if sampler.discrete else None
+        scores = ll[:len(y)]
         if sampler.discrete:
             scores.fill(0.0)
-            step = term[:k]
+            step = term[:len(y)]
             for i in range(n):
                 # Gather sender 2's columns first, then copy whole rows per codeword of
-                # sender 1; "clip" leaves out unbuffered and the symbols were checked above.
+                # sender 1; "clip" leaves out unbuffered, and _trial_inputs checked the symbols.
                 np.take(log_wy[y[:, i]][:, :, x2[:, i]], x1[:, i], axis=1, out=step,
                         mode="clip")
                 scores += step
@@ -440,17 +442,15 @@ def _block_scores(cb1: Codebook, cb2: Codebook, sampler, trials: int, seed: int)
             for a in range(m1_count):
                 diff = y[:, None, :] - x1[a] - x2
                 scores[:, a] = -(diff * diff).sum(axis=-1)
-        yield sent, scores.reshape(k, -1)
+        yield m1 * m2_count + m2, scores.reshape(len(y), -1)
 
 
 def simulate_decode(cb1: Codebook, cb2: Codebook, sampler, trials: int,
                     seed: int = 0) -> float:
     """Empirical joint-message error rate under exhaustive ML decoding.
 
-    Trials are decoded in blocks of up to _BLOCK_VALUES pair scores; each
-    trial keeps its own random stream and its log-likelihoods are added in
-    symbol order, so the rate and every decoded pair are those of a
-    one-trial-at-a-time decoder, whatever the block size.
+    Trials are decoded in blocks of up to _BLOCK_VALUES pair scores, with the
+    rate and every decoded pair of a one-trial-at-a-time decoder.
     """
     errors = 0
     for sent, scores in _block_scores(cb1, cb2, sampler, trials, seed):

@@ -125,6 +125,45 @@ def per_trial_scores(cb1, cb2, sampler, trials, seed):
     return np.array(sent), np.array(scores)
 
 
+def per_trial_mac_energy(cb1, cb2, sampler, b, b_target, eps, trials, seed):
+    """Reference simulate_mac_energy: a frozen copy of its one-trial-at-a-time loop."""
+    x1, x2 = (cb.words for cb in (cb1, cb2)) if sampler.discrete else (
+        cb.codewords for cb in (cb1, cb2))
+    energy = (lambda y: b.values[y]) if sampler.discrete else b
+    bn = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        m1 = int(rng.integers(cb1.message_count))
+        m2 = int(rng.integers(cb2.message_count))
+        bn[t] = energy(sampler.sample(x1[m1], x2[m2], rng)).sum() / cb1.n
+    se = float(bn.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return ie.SimReport(cb1.n, trials, seed, float(bn.mean()),
+                        float((bn < b_target - eps).mean()), float("nan"), float("nan"), se)
+
+
+def per_trial_mhc_harvest(cb1, sampler, relay, b, p2_budget, trials, seed):
+    """Reference simulate_mhc_harvest: a frozen copy of its one-trial-at-a-time loop."""
+    x1 = cb1.words
+    harvested = np.empty(trials)
+    violations = 0
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        m = int(rng.integers(cb1.message_count))
+        harvested[t] = b.values[sampler.sample(x1[m], rng)].sum() / cb1.n
+        x2 = relay.transmit(harvested[t] + p2_budget, cb1.n, rng)
+        if np.square(x2).sum() / cb1.n > harvested[t] + p2_budget + ie.linksim.COST_SLACK:
+            violations += 1
+    se = float(harvested.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return ie.SimReport(cb1.n, trials, seed, float(harvested.mean()), float("nan"),
+                        float("nan"), violations / trials, se)
+
+
+def report_bytes(report: ie.SimReport) -> list:
+    """Type and bytes of every field, so NaNs and -0.0 compare exactly."""
+    return [(type(getattr(report, f.name)), np.asarray(getattr(report, f.name)).tobytes())
+            for f in dataclasses.fields(ie.SimReport)]
+
+
 def block_scores(cb1, cb2, sampler, trials, seed):
     """simulate_decode's sent pairs and scores, and the number of blocks it used."""
     blocks = [(sent, scores.copy())
@@ -738,6 +777,97 @@ class TestBlockDecodeMatchesPerTrial:
             sampler = ie.GaussianMacSampler(4.0)
         assert cb1.message_count * cb2.message_count > ie.linksim._BLOCK_VALUES
         self._check(cb1, cb2, sampler, 7, seed=10, blocks=7)
+
+
+class TestEnergySimulatorsMatchPerTrial:
+    """Blocked trials give every SimReport field of a one-trial-at-a-time loop, bit for bit."""
+
+    @staticmethod
+    def _mac_case(kind, n, seed):
+        rs = np.random.default_rng(seed)
+        if kind == "discrete":
+            ch = random_discrete_mac(rs, zeros=seed % 2 == 0)
+            cb1, cb2 = (ie.generate_codebook(ie.Pmf(rs.dirichlet(np.ones(len(a)))), n,
+                                             int(rs.integers(0, 4)) / n, alphabet=a,
+                                             seed=seed + i)
+                        for i, a in enumerate(ch.input_alphabets))
+            b = ie.EnergyFn(rs.uniform(0.0, 2.5, len(ch.output_alphabet)))
+            sampler = ie.DmMacSampler(ch)
+        else:
+            pol = ie.GaussianPhasePolicy(float(rs.uniform(0.2, 0.9)), float(rs.uniform(0.1, 2.0)),
+                                         float(rs.uniform(0.0, 1.5)))
+            cb1, cb2 = ie.generate_mac_codebooks(pol, n, 2 / n, 1 / n, seed=seed)
+            b, sampler = np.square, ie.GaussianMacSampler(float(rs.uniform(0.3, 3.0)))
+        return cb1, cb2, sampler, b
+
+    @staticmethod
+    def _mhc_case(relay, n, seed):
+        rs = np.random.default_rng(seed)
+        cost = ie.CostFn(rs.uniform(0.0, 3.0, 4))
+        cb = ie.generate_codebook(ie.Pmf.uniform(4), n, 3 / n, alphabet=FOUR_LEVELS,
+                                  cost=cost, budget=float(cost.values.mean()), seed=seed)
+        hop = ie.DmChannel.point_to_point(FOUR_LEVELS, FOUR_LEVELS,
+                                          rs.dirichlet(np.ones(4), size=4))
+        b = ie.EnergyFn(rs.uniform(0.0, 2.0, 4))
+        relay = ie.ScalingGaussianRelay() if relay == "scaling" else (
+            ie.FixedPowerGaussianRelay(float(b.values.mean())))
+        return cb, ie.DmPointToPointSampler(hop), relay, b, float(rs.uniform(0.0, 0.5))
+
+    @pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mac_energy(self, kind, seed, monkeypatch):
+        n = 50 + 31 * seed
+        cb1, cb2, sampler, b = self._mac_case(kind, n, seed)
+        for k in (None, 1, 3, 7):
+            if k is not None:
+                monkeypatch.setattr(ie.linksim, "_BLOCK_VALUES", k * n)
+            for trials in (1, 2, 11, 22):
+                got = ie.simulate_mac_energy(cb1, cb2, sampler, b, 1.3, 0.1, trials, seed)
+                ref = per_trial_mac_energy(cb1, cb2, sampler, b, 1.3, 0.1, trials, seed)
+                assert report_bytes(got) == report_bytes(ref)
+
+    @pytest.mark.parametrize("relay", ["scaling", "fixed"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mhc_harvest(self, relay, seed, monkeypatch):
+        n = 40 + 17 * seed
+        cb, sampler, relay, b, p2 = self._mhc_case(relay, n, seed)
+        for k in (None, 1, 3, 7):
+            if k is not None:
+                monkeypatch.setattr(ie.linksim, "_BLOCK_VALUES", k * n)
+            for trials in (1, 2, 11, 22):
+                got = ie.simulate_mhc_harvest(cb, sampler, relay, b, p2, trials, seed)
+                ref = per_trial_mhc_harvest(cb, sampler, relay, b, p2, trials, seed)
+                assert report_bytes(got) == report_bytes(ref)
+
+    def test_blocklength_above_the_block_bound(self):
+        n = ie.linksim._BLOCK_VALUES + 5
+        for kind in ("discrete", "gaussian"):
+            cb1, cb2, sampler, b = self._mac_case(kind, n, 4)
+            assert report_bytes(ie.simulate_mac_energy(cb1, cb2, sampler, b, 1.3, 0.1, 3, 4)) \
+                == report_bytes(per_trial_mac_energy(cb1, cb2, sampler, b, 1.3, 0.1, 3, 4))
+        for relay in ("scaling", "fixed"):
+            cb, sampler, relay, b, p2 = self._mhc_case(relay, n, 5)
+            assert report_bytes(ie.simulate_mhc_harvest(cb, sampler, relay, b, p2, 3, 5)) \
+                == report_bytes(per_trial_mhc_harvest(cb, sampler, relay, b, p2, 3, 5))
+
+
+@pytest.mark.parametrize("simulate", ["mac", "mhc", "decode"])
+def test_simulators_reject_symbols_outside_the_channel_alphabets(simulate):
+    """A position past the channel's alphabet fails loudly instead of reading another row."""
+    three = ie.Alphabet([0.0, 1.0, 2.0])
+    twos = ie.Codebook(np.full((4, 8), 2, dtype=np.uint8), None, three)
+    zeros = ie.Codebook(np.zeros((4, 8), dtype=np.uint8), None, ie.Alphabet([0.0, 1.0]))
+    adder = ie.DmMacSampler(make_binary_adder())
+    calls = {
+        "mac": lambda: ie.simulate_mac_energy(zeros, twos, adder, ie.EnergyFn([0.0, 1.0, 2.0]),
+                                              1.0, 0.1, 5),
+        "mhc": lambda: ie.simulate_mhc_harvest(
+            twos, ie.DmPointToPointSampler(ie.DmChannel.noiseless(ie.Alphabet([0.0, 1.0]))),
+            ie.ScalingGaussianRelay(), ie.EnergyFn([0.0, 1.0]), 0.0, 5),
+        "decode": lambda: ie.simulate_decode(zeros, twos, adder, 5),
+    }
+    with pytest.raises(ValueError, match="outside the channel's input alphabets"):
+        calls[simulate]()
 
 
 @pytest.mark.parametrize("trials", [0, -3])
