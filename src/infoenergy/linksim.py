@@ -5,8 +5,10 @@ screening by rejection so the blockwise budget holds exactly.  Each codebook
 reads one random stream derived from its seed and each trial one derived from
 (seed, trial index), so reruns give bit-identical reports.  A trial draws
 its messages, then the channel output, then the relay's block.  All three
-simulators run trials in blocks through one loop, which changes no result,
-and reject codeword symbols outside the channel's input alphabets.
+simulators run trials in blocks and reject codeword symbols outside the
+channel's input alphabets.  The blocks are split across every CPU in the
+process's affinity mask, the caller's and forked workers; as each trial reads
+only its own stream, no result depends on the block size or the CPU count.
 
 The relay budget check uses the per-block reading of the harvesting
 constraint: the relay observes a whole received block, then spends at most
@@ -16,6 +18,8 @@ battery is out of scope.
 
 from __future__ import annotations
 
+import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,22 +300,82 @@ def _trial_inputs(sampler, trials: int, *codebooks: Codebook) -> list:
     return [cb.words for cb in codebooks]
 
 
-def _trial_blocks(sampler, xs, trials: int, seed: int, per_trial: int):
-    """Yield each block of trials' sent messages (codebooks, k), outputs (k, n) and streams.
+def _blocks(trials: int, per_trial: int) -> list:
+    """The trial ranges simulated together: max(1, _BLOCK_VALUES // per_trial) trials each."""
+    size = min(trials, max(1, _BLOCK_VALUES // per_trial))
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
+def _draw_trials(sampler, xs, seed: int, blocks):
+    """Yield each block's sent messages (codebooks, k), outputs (k, n) and trial streams.
 
     Trial t draws from _trial_rng(seed, t) one uniform message per array of
     ``xs``, then its output; the caller draws the relay's block from the yielded
-    stream.  Blocks of max(1, _BLOCK_VALUES // per_trial) trials change no number.
+    stream.  Drawing trials in blocks changes no number.
     """
-    block = min(trials, max(1, _BLOCK_VALUES // per_trial))
-    for start in range(0, trials, block):
-        rngs = [_trial_rng(seed, t) for t in range(start, min(start + block, trials))]
+    for block in blocks:
+        rngs = [_trial_rng(seed, t) for t in block]
         sent = np.empty((len(xs), len(rngs)), dtype=np.intp)
         y = np.empty((len(rngs), xs[0].shape[1]), dtype=np.intp if sampler.discrete else float)
         for j, rng in enumerate(rngs):
             sent[:, j] = [rng.integers(len(x)) for x in xs]
             y[j] = sampler.sample(*(x[m] for x, m in zip(xs, sent[:, j])), rng)
         yield sent, y, rngs
+
+
+def _map_blocks(run, blocks: list, width: int) -> np.ndarray:
+    """(width, trials) float64 rows, block by block from ``run(share)``.
+
+    ``run`` yields one (width, k) array, or a (k,) one if width is 1, per
+    block of the share it is given.  Worker w of W, one per CPU in the
+    affinity mask, takes blocks w, w + W, ...: the caller takes share 0 and
+    W - 1 forked children the rest, writing into one shared anonymous mapping.
+    A child ends in os._exit, so it never returns into the caller, runs its
+    exit handlers or flushes its stdio.  The shares of children that failed,
+    or could not be forked, then run in process, in block order and with the
+    caller's share if that failed too, so an exception surfaces as in a
+    serial run.  Every trial reads only its own stream, so the rows do not
+    depend on W.
+    """
+    buf = mmap.mmap(-1, 8 * width * blocks[-1].stop)
+    rows = np.frombuffer(buf).reshape(width, -1)
+
+    def fill(share):
+        for block, values in zip(share, run(share)):
+            rows[:, block.start:block.stop] = values
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(blocks), cpus if hasattr(os, "fork") else 1)
+    shares = [blocks[w::workers] for w in range(workers)]
+    children, failed, error = [], [], None
+    try:
+        for share in shares[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # the share runs in process below
+                failed.append(share)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    fill(share)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, share))
+        try:
+            fill(shares[0])
+        except Exception as exc:
+            error = exc
+    finally:
+        failed += [share for pid, share in children if os.waitpid(pid, 0)[1]]
+    if error is not None:
+        if not failed:
+            raise error
+        failed.append(shares[0])
+    if failed:
+        fill(sorted((block for share in failed for block in share), key=lambda b: b.start))
+    return rows
 
 
 def _energy_fn(b, sampler):
@@ -337,9 +401,13 @@ def simulate_mac_energy(cb1: Codebook, cb2: Codebook, sampler, b, b_target: floa
     """
     xs = _trial_inputs(sampler, trials, cb1, cb2)
     energy = _energy_fn(b, sampler)
-    # Row sums of the contiguous (k, n) outputs add up as each one-trial sum did.
-    bn = np.concatenate([energy(y).sum(axis=1) / cb1.n
-                         for _, y, _ in _trial_blocks(sampler, xs, trials, seed, cb1.n)])
+
+    def run(blocks):
+        # Row sums of the contiguous (k, n) outputs add up as each one-trial sum did.
+        for _, y, _ in _draw_trials(sampler, xs, seed, blocks):
+            yield energy(y).sum(axis=1) / cb1.n
+
+    bn = _map_blocks(run, _blocks(trials, cb1.n), 1)[0]
     se = float(bn.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return SimReport(cb1.n, trials, seed, float(bn.mean()),
                      float((bn < b_target - eps).mean()), float("nan"),
@@ -389,27 +457,30 @@ def simulate_mhc_harvest(cb1: Codebook, sampler, relay, b, p2_budget: float,
     """
     xs = _trial_inputs(sampler, trials, cb1)
     energy = _energy_fn(b, sampler)
-    harvested, violations = [], 0
-    for _, y, rngs in _trial_blocks(sampler, xs, trials, seed, cb1.n):
-        for h, rng in zip(energy(y).sum(axis=1) / cb1.n, rngs):
-            x2 = relay.transmit(h + p2_budget, cb1.n, rng)
-            violations += int(np.square(x2).sum() / cb1.n > h + p2_budget + COST_SLACK)
-            harvested.append(h)
-    harvested = np.array(harvested)
+
+    def run(blocks):
+        for _, y, rngs in _draw_trials(sampler, xs, seed, blocks):
+            h = energy(y).sum(axis=1) / cb1.n
+            spent = [np.square(relay.transmit(hk + p2_budget, cb1.n, rng)).sum() / cb1.n
+                     for hk, rng in zip(h, rngs)]
+            yield h, np.array(spent) > h + p2_budget + COST_SLACK
+
+    harvested, violations = _map_blocks(run, _blocks(trials, cb1.n), 2)
     se = float(harvested.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return SimReport(cb1.n, trials, seed, float(harvested.mean()), float("nan"),
-                     float("nan"), violations / trials, se)
+                     float("nan"), int(violations.sum()) / trials, se)
 
 
 def _block_scores(cb1: Codebook, cb2: Codebook, sampler, trials: int, seed: int):
-    """Yield each block of trials' sent pairs and log-likelihood scores of every pair.
+    """Check a decoding run; return its blocks and a generator function ``scores(blocks)``.
 
-    Pairs are flat indices m1 * M2 + m2; the scores are (trials in block,
-    M1 * M2) and are overwritten by the next block.  Each trial's scores are
-    summed over the symbols in order, bit for bit as a one-trial sum.  A block
-    holds at most _BLOCK_VALUES scores or one trial's largest array, whichever
-    is more: the scores, the outputs, or a Gaussian row's differences (M2, n)
-    per codeword of the first sender.
+    ``scores`` yields each block's sent pairs, as flat indices m1 * M2 + m2,
+    and the log-likelihood scores (trials in block, M1 * M2) of every pair,
+    overwritten by the next block.  Each trial's scores are summed over the
+    symbols in order, bit for bit as a one-trial sum.  A block holds at most
+    _BLOCK_VALUES scores or one trial's largest array, whichever is more: the
+    scores, the outputs, or a Gaussian row's differences (M2, n) per codeword
+    of the first sender.
     """
     m1_count, m2_count = cb1.message_count, cb2.message_count
     if m1_count * m2_count > 1 << 20:
@@ -423,26 +494,30 @@ def _block_scores(cb1: Codebook, cb2: Codebook, sampler, trials: int, seed: int)
     else:
         per_trial = m2_count * max(m1_count, n)
 
-    ll = term = None  # sized by the first, largest block; one table and term stay live
-    for (m1, m2), y, _ in _trial_blocks(sampler, (x1, x2), trials, seed, per_trial):
-        if ll is None:
-            ll = np.empty((len(y), m1_count, m2_count))
-            term = np.empty_like(ll) if sampler.discrete else None
-        scores = ll[:len(y)]
-        if sampler.discrete:
-            scores.fill(0.0)
-            step = term[:len(y)]
-            for i in range(n):
-                # Gather sender 2's columns first, then copy whole rows per codeword of
-                # sender 1; "clip" leaves out unbuffered, and _trial_inputs checked the symbols.
-                np.take(log_wy[y[:, i]][:, :, x2[:, i]], x1[:, i], axis=1, out=step,
-                        mode="clip")
-                scores += step
-        else:
-            for a in range(m1_count):
-                diff = y[:, None, :] - x1[a] - x2
-                scores[:, a] = -(diff * diff).sum(axis=-1)
-        yield m1 * m2_count + m2, scores.reshape(len(y), -1)
+    def scores(blocks):
+        ll = term = None  # sized by the first, largest block; one table and term stay live
+        for (m1, m2), y, _ in _draw_trials(sampler, (x1, x2), seed, blocks):
+            if ll is None:
+                ll = np.empty((len(y), m1_count, m2_count))
+                term = np.empty_like(ll) if sampler.discrete else None
+            table = ll[:len(y)]
+            if sampler.discrete:
+                table.fill(0.0)
+                step = term[:len(y)]
+                for i in range(n):
+                    # Gather sender 2's columns first, then copy whole rows per codeword of
+                    # sender 1; "clip" leaves out unbuffered, and _trial_inputs checked the
+                    # symbols.
+                    np.take(log_wy[y[:, i]][:, :, x2[:, i]], x1[:, i], axis=1, out=step,
+                            mode="clip")
+                    table += step
+            else:
+                for a in range(m1_count):
+                    diff = y[:, None, :] - x1[a] - x2
+                    table[:, a] = -(diff * diff).sum(axis=-1)
+            yield m1 * m2_count + m2, table.reshape(len(y), -1)
+
+    return _blocks(trials, per_trial), scores
 
 
 def simulate_decode(cb1: Codebook, cb2: Codebook, sampler, trials: int,
@@ -452,7 +527,7 @@ def simulate_decode(cb1: Codebook, cb2: Codebook, sampler, trials: int,
     Trials are decoded in blocks of up to _BLOCK_VALUES pair scores, with the
     rate and every decoded pair of a one-trial-at-a-time decoder.
     """
-    errors = 0
-    for sent, scores in _block_scores(cb1, cb2, sampler, trials, seed):
-        errors += int(np.count_nonzero(scores.argmax(axis=1) != sent))
-    return errors / trials
+    blocks, scores = _block_scores(cb1, cb2, sampler, trials, seed)
+    errors = _map_blocks(lambda share: (table.argmax(axis=1) != sent
+                                        for sent, table in scores(share)), blocks, 1)
+    return int(errors.sum()) / trials

@@ -59,19 +59,20 @@ class MhcSolution:
     input_pmf: Pmf
     harvested_budget: float
     relay_pmf: Pmf | None
-    # Certified upper bound on the two-hop capacity minus capacity_bits.
+    # Certified upper bound on the two-hop capacity minus capacity_bits,
+    # counting the second-hop solves' own dual gaps.
     gap_bits: float
 
 
 def _second_hop_capacity(prob: MhcProblem, budget: float):
-    """(bits, relay pmf or None) for a given relay budget."""
+    """(bits, relay pmf or None, dual gap of the bits) for a given relay budget."""
     if isinstance(prob.hop2, AwgnSpec):
-        return awgn_capacity(budget, prob.hop2.n0), None
+        return awgn_capacity(budget, prob.hop2.n0), None, 0.0
     try:
         res = dm_capacity_with_cost(prob.hop2, prob.c2, budget)
     except InfeasibleError:
-        return 0.0, None
-    return res.capacity_bits, res.input_pmf
+        return 0.0, None, 0.0
+    return res.capacity_bits, res.input_pmf, res.gap_bits
 
 
 def mhc_capacity(prob: MhcProblem) -> MhcSolution:
@@ -85,7 +86,8 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     harvesting at most p_hi's gets at most C2(beta.p_hi + P2) + gap_hi (gap:
     the kernel's), and none gets more than C2 at the largest harvest.  The
     search stops once the least of these caps is within BA_TOL_BITS of the
-    best rate seen; gap_bits is their difference, with C2 taken as solved.
+    best rate seen.  gap_bits is the least cap minus that rate, with each C2
+    in a cap raised by its own solve's dual gap.
     """
     W1 = prob.hop1.transition
     c1 = prob.c1.values
@@ -96,18 +98,22 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     shifted = LN2 * (beta - beta.max())  # <= 0: a large mu cannot swamp I
 
     def frontier(mu):
-        """(I, C2, kernel gap, (rate, pmf, relay budget, relay pmf)) at p_mu."""
+        """(I, C2, kernel gap, C2's gap, (rate, pmf, relay budget, relay pmf)) at p_mu."""
         r, i1, _, _, gap = _ba(W1, c1, prob.p1_budget, mu * shifted)
         budget = float(r @ beta) + prob.p2_budget
-        c2, relay_pmf = _second_hop_capacity(prob, budget)
-        return i1, c2, gap, (min(i1, c2), r, budget, relay_pmf)
+        c2, relay_pmf, gap2 = _second_hop_capacity(prob, budget)
+        return i1, c2, gap, gap2, (min(i1, c2), r, budget, relay_pmf)
 
-    i1, c2, gap, best = frontier(0.0)
-    upper_i, upper_c = i1 + gap, np.inf  # upper_i bounds the hop-1 capacity
+    i1, c2, gap, gap2, best = frontier(0.0)
+    # upper_i bounds the hop-1 capacity; upper_c, which stops the search, takes
+    # each C2 as solved, and bound_c adds the C2 solves' gaps to it.
+    upper_i, upper_c, bound_c = i1 + gap, np.inf, np.inf
     if i1 > c2:  # hop 2 binds at mu = 0 (else p_0 is optimal): buy harvest
         e_max = (_cost_polytope_vertices(c1, max(prob.p1_budget, c1.min())) @ beta).max()
         top = max(float(e_max) + prob.p2_budget, best[2])
-        upper_c = c2 if top == best[2] else _second_hop_capacity(prob, top)[0]
+        if top != best[2]:
+            c2, _, gap2 = _second_hop_capacity(prob, top)
+        upper_c, bound_c = c2, c2 + gap2
         lo, hi = 0.0, None
         for _ in range(_MU_STEPS):
             if min(upper_i, upper_c) - best[0] < BA_TOL_BITS:
@@ -115,16 +121,17 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
             mu = (2.0 * lo or 1.0) if hi is None else 0.5 * (lo + hi)
             if hi is not None and not lo < mu < hi:
                 break
-            i1, c2, gap, point = frontier(mu)
+            i1, c2, gap, gap2, point = frontier(mu)
             best = max(best, point, key=lambda b: b[0])
             if i1 > c2:
                 lo, upper_i = mu, min(upper_i, i1 + gap)
             else:
                 hi, upper_c = mu, min(upper_c, c2 + gap)
+                bound_c = min(bound_c, c2 + gap + gap2)
 
     value, pmf, budget, relay_pmf = best
     return MhcSolution(max(value, 0.0), Pmf(pmf), budget, relay_pmf,
-                       max(float(min(upper_i, upper_c)) - value, 0.0))
+                       max(float(min(upper_i, bound_c)) - value, 0.0))
 
 
 def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:

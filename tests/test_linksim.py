@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -166,8 +167,8 @@ def report_bytes(report: ie.SimReport) -> list:
 
 def block_scores(cb1, cb2, sampler, trials, seed):
     """simulate_decode's sent pairs and scores, and the number of blocks it used."""
-    blocks = [(sent, scores.copy())
-              for sent, scores in ie.linksim._block_scores(cb1, cb2, sampler, trials, seed)]
+    ranges, scores = ie.linksim._block_scores(cb1, cb2, sampler, trials, seed)
+    blocks = [(sent, table.copy()) for sent, table in scores(ranges)]
     return (np.concatenate([sent for sent, _ in blocks]),
             np.concatenate([scores for _, scores in blocks]), len(blocks))
 
@@ -849,6 +850,140 @@ class TestEnergySimulatorsMatchPerTrial:
             cb, sampler, relay, b, p2 = self._mhc_case(relay, n, 5)
             assert report_bytes(ie.simulate_mhc_harvest(cb, sampler, relay, b, p2, 3, 5)) \
                 == report_bytes(per_trial_mhc_harvest(cb, sampler, relay, b, p2, 3, 5))
+
+
+class RefusingRelay(ie.ScalingGaussianRelay):
+    """Raises on the given budgets, so a test can fail chosen trials."""
+
+    def __init__(self, refused):
+        self.refused = set(refused)
+        self.calls = 0
+
+    def transmit(self, budget, n, rng):
+        self.calls += 1
+        if budget in self.refused:
+            raise ValueError(f"relay refuses budget {budget!r}")
+        return super().transmit(budget, n, rng)
+
+
+class TestForkedWorkers:
+    """1, 2 and 3 workers give the one-trial-at-a-time results bit for bit and leave no child.
+
+    Blocks hold 3 trials, so 1 and 3 trials make one block, 4 fewer blocks than
+    3 workers, and 7, 11 and 22 trials shares of unequal length.
+    """
+
+    TRIALS = (1, 3, 4, 7, 11, 22)
+
+    @staticmethod
+    def _workers(monkeypatch, count, per_trial):
+        """Show ``count`` CPUs and 3 trials a block; return the pids of the forks made."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        monkeypatch.setattr(ie.linksim, "_BLOCK_VALUES", 3 * per_trial)
+        pids, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_energy_reports(self, count, monkeypatch):
+        n = 50
+        pids = self._workers(monkeypatch, count, n)
+        cases = TestEnergySimulatorsMatchPerTrial
+        for trials in self.TRIALS:
+            forks = len(pids)
+            for kind in ("discrete", "gaussian"):
+                cb1, cb2, sampler, b = cases._mac_case(kind, n, 1)
+                got = ie.simulate_mac_energy(cb1, cb2, sampler, b, 1.3, 0.1, trials, 2)
+                ref = per_trial_mac_energy(cb1, cb2, sampler, b, 1.3, 0.1, trials, 2)
+                assert report_bytes(got) == report_bytes(ref)
+            for relay in ("scaling", "fixed"):
+                cb, sampler, relay, b, p2 = cases._mhc_case(relay, n, 2)
+                got = ie.simulate_mhc_harvest(cb, sampler, relay, b, p2, trials, 3)
+                ref = per_trial_mhc_harvest(cb, sampler, relay, b, p2, trials, 3)
+                assert report_bytes(got) == report_bytes(ref)
+            assert len(pids) - forks == 4 * (min(count, -(-trials // 3)) - 1)
+        self._no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_decoded_pairs(self, count, monkeypatch):
+        ch = random_discrete_mac(np.random.default_rng(7), zeros=True)
+        discrete = [ie.generate_codebook(ie.Pmf.uniform(len(a)), 10, 3 / 10, alphabet=a,
+                                         seed=30 + i)
+                    for i, a in enumerate(ch.input_alphabets)]
+        gaussian = ie.generate_mac_codebooks(ie.GaussianPhasePolicy(0.7, 1.0, 0.5), 12,
+                                             2 / 12, 2 / 12, seed=41)
+        for (cb1, cb2), sampler, per_trial in ((discrete, ie.DmMacSampler(ch), 64),
+                                               (gaussian, ie.GaussianMacSampler(4.0), 48)):
+            pids = self._workers(monkeypatch, count, per_trial)
+            for trials in self.TRIALS:
+                ref_sent, ref_scores = per_trial_scores(cb1, cb2, sampler, trials, 8)
+                ref_decoded = ref_scores.argmax(axis=1)
+                ranges, scores = ie.linksim._block_scores(cb1, cb2, sampler, trials, 8)
+                decoded = ie.linksim._map_blocks(
+                    lambda share: (table.argmax(axis=1) for _, table in scores(share)),
+                    ranges, 1)[0]
+                assert np.array_equal(decoded, ref_decoded)
+                assert ie.simulate_decode(cb1, cb2, sampler, trials, 8) == (
+                    np.count_nonzero(ref_sent != ref_decoded) / trials)
+            assert len(pids) == 2 * sum(min(count, -(-t // 3)) - 1 for t in self.TRIALS)
+        self._no_child_left()
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("refused", [(3,), (3, 8), (6, 9)])
+    def test_a_failed_child_raises_the_serial_error(self, count, refused, monkeypatch):
+        """Trials 3-5 are block 1, trials 6-8 block 2 and trials 9-11 block 3.
+
+        Block 1 is a child's; block 2 is the caller's if W = 2, block 3 if W = 3.
+        """
+        n, trials, seed = 40, 12, 1
+        cb, sampler, _, b, p2 = TestEnergySimulatorsMatchPerTrial._mhc_case("scaling", n, 2)
+        budgets = []
+        for t in range(trials):
+            rng = np.random.default_rng([seed, t])
+            m = int(rng.integers(cb.message_count))
+            budgets.append(b.values[sampler.sample(cb.words[m], rng)].sum() / n + p2)
+        relay = RefusingRelay(budgets[t] for t in refused)
+        assert [t for t in range(trials) if budgets[t] in relay.refused] == list(refused)
+        pids = self._workers(monkeypatch, 1, n)
+        with pytest.raises(ValueError) as serial:
+            ie.simulate_mhc_harvest(cb, sampler, relay, b, p2, trials, seed)
+        assert relay.calls == refused[0] + 1  # each trial up to the first refused, once
+        pids = self._workers(monkeypatch, count, n)
+        with pytest.raises(ValueError) as forked:
+            ie.simulate_mhc_harvest(cb, sampler, relay, b, p2, trials, seed)
+        assert str(forked.value) == str(serial.value) == (
+            f"relay refuses budget {budgets[refused[0]]!r}")
+        assert len(pids) == count - 1
+        self._no_child_left()
+        got = ie.simulate_mhc_harvest(cb, sampler, ie.ScalingGaussianRelay(), b, p2, trials, seed)
+        assert report_bytes(got) == report_bytes(per_trial_mhc_harvest(
+            cb, sampler, ie.ScalingGaussianRelay(), b, p2, trials, seed))
+        self._no_child_left()
+
+    def test_a_failed_fork_runs_its_share_in_process(self, monkeypatch):
+        cb1, cb2, sampler, b = TestEnergySimulatorsMatchPerTrial._mac_case("discrete", 30, 0)
+        self._workers(monkeypatch, 3, 30)
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        got = ie.simulate_mac_energy(cb1, cb2, sampler, b, 1.3, 0.1, 11, 4)
+        assert report_bytes(got) == report_bytes(
+            per_trial_mac_energy(cb1, cb2, sampler, b, 1.3, 0.1, 11, 4))
 
 
 @pytest.mark.parametrize("simulate", ["mac", "mhc", "decode"])

@@ -20,6 +20,17 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_process_pools_unloaded():
+    # The Monte Carlo simulators fork their own workers; importing a pool module
+    # would add to every subcommand's start-up time.
+    code = ("import sys, infoenergy.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"
+
+
 def test_no_assert_statements_in_package():
     # Invariants must hold under `python -O`, which strips asserts.
     found = [f"{path.name}:{node.lineno}"
