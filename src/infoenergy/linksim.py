@@ -5,10 +5,12 @@ screening by rejection so the blockwise budget holds exactly.  Each codebook
 reads one random stream derived from its seed and each trial one derived from
 (seed, trial index), so reruns give bit-identical reports.  A trial draws
 its messages, then the channel output, then the relay's block.  All three
-simulators run trials in blocks and reject codeword symbols outside the
-channel's input alphabets.  The blocks are split across every CPU in the
-process's affinity mask, the caller's and forked workers; as each trial reads
-only its own stream, no result depends on the block size or the CPU count.
+simulators reject codeword symbols outside the channel's input alphabets and
+run their trials through one block map, ``_map_trials``, which draws a block
+of trials, hands it to the simulator's per-block function and splits the
+blocks across every CPU in the process's affinity mask, the caller's and
+forked workers; as each trial reads only its own stream, no result depends on
+the block size or the CPU count.
 
 The relay budget check uses the per-block reading of the harvesting
 constraint: the relay observes a whole received block, then spends at most
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Alphabet, CostFn, DmChannel, EnergyFn, Pmf
+from .channel import Alphabet, CostFn, DmChannel, EnergyFn, InfeasibleError, Pmf
 from .metrics import TimeSharingPolicy
 
 COST_SLACK = 1e-9
@@ -189,9 +191,9 @@ def generate_codebook(policy, n: int, rate: float, *, alphabet: Alphabet | None 
             ok = np.flatnonzero(_block_cost(block, cost, alphabet) <= budget + COST_SLACK)
             runs = np.diff(ok, prepend=-1 - rejected, append=len(block)) - 1
             if runs.max() > MAX_REJECTIONS:
-                raise RuntimeError(f"codeword {done + np.argmax(runs > MAX_REJECTIONS)}: cost "
-                                   f"budget {budget} incompatible with the policy after "
-                                   f"{MAX_REJECTIONS} attempts")
+                raise InfeasibleError(
+                    f"codeword {done + np.argmax(runs > MAX_REJECTIONS)}: cost budget "
+                    f"{budget} incompatible with the policy after {MAX_REJECTIONS} attempts")
             block, rejected = block[ok], runs[-1]
         words[done:done + len(block)] = block
         done += len(block)
@@ -282,10 +284,13 @@ class GaussianMacSampler:
         return x1_vals + x2_vals + rng.normal(0.0, np.sqrt(self.n0), x1_vals.shape[0])
 
 
-def _trial_inputs(sampler, trials: int, *codebooks: Codebook) -> list:
+def _trial_inputs(sampler, trials: int, *codebooks: Codebook, levels=()) -> list:
     """Check a simulation's arguments; return the codeword arrays the sampler reads."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not all(0 <= level < np.inf for level in levels):  # targets, |eps|, relay supplies
+        raise ValueError("energy targets and relay supplies must be finite and nonnegative, "
+                         "and eps finite")
     if len({cb.n for cb in codebooks}) != 1:
         raise ValueError("codebooks must share a blocklength")
     q_seqs = [cb.q_seq for cb in codebooks if cb.q_seq is not None]
@@ -300,49 +305,37 @@ def _trial_inputs(sampler, trials: int, *codebooks: Codebook) -> list:
     return [cb.words for cb in codebooks]
 
 
-def _blocks(trials: int, per_trial: int) -> list:
-    """The trial ranges simulated together: max(1, _BLOCK_VALUES // per_trial) trials each."""
-    size = min(trials, max(1, _BLOCK_VALUES // per_trial))
-    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+def _map_trials(sampler, xs, seed: int, trials: int, per_trial: int, width: int,
+                score) -> np.ndarray:
+    """(width, trials) float64 rows, scored a block of trials at a time.
 
-
-def _draw_trials(sampler, xs, seed: int, blocks):
-    """Yield each block's sent messages (codebooks, k), outputs (k, n) and trial streams.
-
-    Trial t draws from _trial_rng(seed, t) one uniform message per array of
-    ``xs``, then its output; the caller draws the relay's block from the yielded
-    stream.  Drawing trials in blocks changes no number.
+    Blocks hold max(1, _BLOCK_VALUES // per_trial) trials.  Trial t draws from
+    _trial_rng(seed, t) one uniform message per array of ``xs``, then its
+    output.  ``score(sent, y, rngs)`` gets a block's sent messages
+    (len(xs), k), outputs (k, n) and trial streams, from which the relay's
+    blocks are drawn, and returns (width, k) rows, or (k,) if width is 1.
+    Worker w of W, one per CPU in the affinity mask, takes blocks w, w + W, ...:
+    the caller takes share 0 and W - 1 forked children the rest, writing into
+    one shared anonymous mapping.  A child ends in os._exit, so it never
+    returns into the caller, runs its exit handlers or flushes its stdio.  The
+    shares of children that failed, or could not be forked, then run in
+    process, in block order and with the caller's share if that failed too, so
+    an exception surfaces as in a serial run.  Every trial reads only its own
+    stream, so the rows depend on neither the block size nor W.
     """
-    for block in blocks:
-        rngs = [_trial_rng(seed, t) for t in block]
-        sent = np.empty((len(xs), len(rngs)), dtype=np.intp)
-        y = np.empty((len(rngs), xs[0].shape[1]), dtype=np.intp if sampler.discrete else float)
-        for j, rng in enumerate(rngs):
-            sent[:, j] = [rng.integers(len(x)) for x in xs]
-            y[j] = sampler.sample(*(x[m] for x, m in zip(xs, sent[:, j])), rng)
-        yield sent, y, rngs
-
-
-def _map_blocks(run, blocks: list, width: int) -> np.ndarray:
-    """(width, trials) float64 rows, block by block from ``run(share)``.
-
-    ``run`` yields one (width, k) array, or a (k,) one if width is 1, per
-    block of the share it is given.  Worker w of W, one per CPU in the
-    affinity mask, takes blocks w, w + W, ...: the caller takes share 0 and
-    W - 1 forked children the rest, writing into one shared anonymous mapping.
-    A child ends in os._exit, so it never returns into the caller, runs its
-    exit handlers or flushes its stdio.  The shares of children that failed,
-    or could not be forked, then run in process, in block order and with the
-    caller's share if that failed too, so an exception surfaces as in a
-    serial run.  Every trial reads only its own stream, so the rows do not
-    depend on W.
-    """
-    buf = mmap.mmap(-1, 8 * width * blocks[-1].stop)
-    rows = np.frombuffer(buf).reshape(width, -1)
+    size = max(1, _BLOCK_VALUES // per_trial)
+    blocks = [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+    rows = np.frombuffer(mmap.mmap(-1, 8 * width * trials)).reshape(width, -1)
 
     def fill(share):
-        for block, values in zip(share, run(share)):
-            rows[:, block.start:block.stop] = values
+        for block in share:
+            rngs = [_trial_rng(seed, t) for t in block]
+            sent = np.empty((len(xs), len(block)), dtype=np.intp)
+            y = np.empty((len(block), xs[0].shape[1]), np.intp if sampler.discrete else float)
+            for j, rng in enumerate(rngs):
+                sent[:, j] = [rng.integers(len(x)) for x in xs]
+                y[j] = sampler.sample(*(x[m] for x, m in zip(xs, sent[:, j])), rng)
+            rows[:, block.start:block.stop] = score(sent, y, rngs)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(blocks), cpus if hasattr(os, "fork") else 1)
@@ -399,15 +392,11 @@ def simulate_mac_energy(cb1: Codebook, cb2: Codebook, sampler, b, b_target: floa
     Per trial the pair is uniform, the channel is sampled symbol by symbol,
     and the block average of b is compared against b_target - eps.
     """
-    xs = _trial_inputs(sampler, trials, cb1, cb2)
+    xs = _trial_inputs(sampler, trials, cb1, cb2, levels=(b_target, abs(eps)))
     energy = _energy_fn(b, sampler)
-
-    def run(blocks):
-        # Row sums of the contiguous (k, n) outputs add up as each one-trial sum did.
-        for _, y, _ in _draw_trials(sampler, xs, seed, blocks):
-            yield energy(y).sum(axis=1) / cb1.n
-
-    bn = _map_blocks(run, _blocks(trials, cb1.n), 1)[0]
+    # Row sums of the contiguous (k, n) outputs add up as each one-trial sum did.
+    bn = _map_trials(sampler, xs, seed, trials, cb1.n, 1,
+                     lambda sent, y, rngs: energy(y).sum(axis=1) / cb1.n)[0]
     se = float(bn.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return SimReport(cb1.n, trials, seed, float(bn.mean()),
                      float((bn < b_target - eps).mean()), float("nan"),
@@ -455,32 +444,30 @@ def simulate_mhc_harvest(cb1: Codebook, sampler, relay, b, p2_budget: float,
     let the relay emit its block, and flag trials where the relay's block cost,
     the mean square of its block, exceeds harvested energy plus its own supply.
     """
-    xs = _trial_inputs(sampler, trials, cb1)
+    xs = _trial_inputs(sampler, trials, cb1, levels=(p2_budget,))
     energy = _energy_fn(b, sampler)
 
-    def run(blocks):
-        for _, y, rngs in _draw_trials(sampler, xs, seed, blocks):
-            h = energy(y).sum(axis=1) / cb1.n
-            spent = [np.square(relay.transmit(hk + p2_budget, cb1.n, rng)).sum() / cb1.n
-                     for hk, rng in zip(h, rngs)]
-            yield h, np.array(spent) > h + p2_budget + COST_SLACK
+    def score(sent, y, rngs):
+        h = energy(y).sum(axis=1) / cb1.n
+        spent = [np.square(relay.transmit(hk + p2_budget, cb1.n, rng)).sum() / cb1.n
+                 for hk, rng in zip(h, rngs)]
+        return h, np.array(spent) > h + p2_budget + COST_SLACK
 
-    harvested, violations = _map_blocks(run, _blocks(trials, cb1.n), 2)
+    harvested, violations = _map_trials(sampler, xs, seed, trials, cb1.n, 2, score)
     se = float(harvested.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return SimReport(cb1.n, trials, seed, float(harvested.mean()), float("nan"),
                      float("nan"), int(violations.sum()) / trials, se)
 
 
-def _block_scores(cb1: Codebook, cb2: Codebook, sampler, trials: int, seed: int):
-    """Check a decoding run; return its blocks and a generator function ``scores(blocks)``.
+def _pair_scorer(cb1: Codebook, cb2: Codebook, sampler, trials: int):
+    """Check a decoding run; return its codeword arrays, per-trial size and ``scores(y)``.
 
-    ``scores`` yields each block's sent pairs, as flat indices m1 * M2 + m2,
-    and the log-likelihood scores (trials in block, M1 * M2) of every pair,
-    overwritten by the next block.  Each trial's scores are summed over the
-    symbols in order, bit for bit as a one-trial sum.  A block holds at most
-    _BLOCK_VALUES scores or one trial's largest array, whichever is more: the
-    scores, the outputs, or a Gaussian row's differences (M2, n) per codeword
-    of the first sender.
+    ``scores`` gives the log-likelihood scores (trials in block, M1 * M2) of
+    every pair, flat index m1 * M2 + m2, for a block's outputs, overwritten by
+    the next call.  Each trial's scores are summed over the symbols in order,
+    bit for bit as a one-trial sum.  A block holds at most _BLOCK_VALUES scores
+    or one trial's largest array, whichever is more: the scores, the outputs,
+    or a Gaussian row's differences (M2, n) per codeword of the first sender.
     """
     m1_count, m2_count = cb1.message_count, cb2.message_count
     if m1_count * m2_count > 1 << 20:
@@ -493,31 +480,31 @@ def _block_scores(cb1: Codebook, cb2: Codebook, sampler, trials: int, seed: int)
         per_trial = max(m1_count * m2_count, n)
     else:
         per_trial = m2_count * max(m1_count, n)
+    ll = term = None  # sized by a process's first, largest block; one table and term live
 
-    def scores(blocks):
-        ll = term = None  # sized by the first, largest block; one table and term stay live
-        for (m1, m2), y, _ in _draw_trials(sampler, (x1, x2), seed, blocks):
-            if ll is None:
-                ll = np.empty((len(y), m1_count, m2_count))
-                term = np.empty_like(ll) if sampler.discrete else None
-            table = ll[:len(y)]
-            if sampler.discrete:
-                table.fill(0.0)
-                step = term[:len(y)]
-                for i in range(n):
-                    # Gather sender 2's columns first, then copy whole rows per codeword of
-                    # sender 1; "clip" leaves out unbuffered, and _trial_inputs checked the
-                    # symbols.
-                    np.take(log_wy[y[:, i]][:, :, x2[:, i]], x1[:, i], axis=1, out=step,
-                            mode="clip")
-                    table += step
-            else:
-                for a in range(m1_count):
-                    diff = y[:, None, :] - x1[a] - x2
-                    table[:, a] = -(diff * diff).sum(axis=-1)
-            yield m1 * m2_count + m2, table.reshape(len(y), -1)
+    def scores(y):
+        nonlocal ll, term
+        if ll is None:
+            ll = np.empty((len(y), m1_count, m2_count))
+            term = np.empty_like(ll) if sampler.discrete else None
+        table = ll[:len(y)]
+        if sampler.discrete:
+            table.fill(0.0)
+            step = term[:len(y)]
+            for i in range(n):
+                # Gather sender 2's columns first, then copy whole rows per codeword of
+                # sender 1; "clip" leaves out unbuffered, and _trial_inputs checked the
+                # symbols.
+                np.take(log_wy[y[:, i]][:, :, x2[:, i]], x1[:, i], axis=1, out=step,
+                        mode="clip")
+                table += step
+        else:
+            for a in range(m1_count):
+                diff = y[:, None, :] - x1[a] - x2
+                table[:, a] = -(diff * diff).sum(axis=-1)
+        return table.reshape(len(y), -1)
 
-    return _blocks(trials, per_trial), scores
+    return (x1, x2), per_trial, scores
 
 
 def simulate_decode(cb1: Codebook, cb2: Codebook, sampler, trials: int,
@@ -527,7 +514,7 @@ def simulate_decode(cb1: Codebook, cb2: Codebook, sampler, trials: int,
     Trials are decoded in blocks of up to _BLOCK_VALUES pair scores, with the
     rate and every decoded pair of a one-trial-at-a-time decoder.
     """
-    blocks, scores = _block_scores(cb1, cb2, sampler, trials, seed)
-    errors = _map_blocks(lambda share: (table.argmax(axis=1) != sent
-                                        for sent, table in scores(share)), blocks, 1)
+    xs, per_trial, scores = _pair_scorer(cb1, cb2, sampler, trials)
+    errors = _map_trials(sampler, xs, seed, trials, per_trial, 1, lambda sent, y, rngs: (
+        scores(y).argmax(axis=1) != sent[0] * cb2.message_count + sent[1]))
     return int(errors.sum()) / trials

@@ -230,6 +230,24 @@ class TestSimulateCommands:
         assert float(row[3]) == pytest.approx(2.5, abs=0.1)
         assert float(row[6]) == 0.0
 
+    def test_hopeless_codebook_budget_exits_3(self, tmp_path, capsys):
+        hop = write_bsc_file(tmp_path / "hop.json", cost=(0.0, 1.0))
+        out = tmp_path / "never.csv"
+        for argv in (["simulate-mhc", "--P1", "0.5"],
+                     ["simulate-mhc", "--channel", hop, "--P1", "-1"]):
+            assert run(argv + ["--n", "64", "--trials", "5", "--out", str(out)]) == 3, argv
+            err = capsys.readouterr().err
+            assert err.startswith("infeasible: ") and "incompatible with the policy" in err
+            assert not out.exists()
+
+    def test_negative_relay_supply_exits_2(self, tmp_path, capsys):
+        hop = write_bsc_file(tmp_path / "hop.json", cost=(0.0, 1.0))
+        out = tmp_path / "never.csv"
+        assert run(["simulate-mhc", "--channel", hop, "--P1", "0.6", "--P2", "-1", "--n", "64",
+                    "--trials", "5", "--out", str(out)]) == 2
+        assert "relay supplies" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unmeasured_columns_read_nan(self, tmp_path):
         # Neither command decodes; simulate-mhc sets no energy floor and
         # simulate-mac has no relay.  The README documents these as nan.

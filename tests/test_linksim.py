@@ -24,6 +24,7 @@ def reports_equal(a: ie.SimReport, b: ie.SimReport) -> bool:
 FOUR_LEVELS = ie.Alphabet([-2.0, -1.0, 1.0, 2.0])
 SQUARES = ie.CostFn([4.0, 1.0, 1.0, 4.0])
 SQUARES_B = ie.EnergyFn([4.0, 1.0, 1.0, 4.0])
+NAN, INF = float("nan"), float("inf")
 
 
 def one_word_codebook(policy, n, rate, *, alphabet=None, cost=None, budget=None, seed=0,
@@ -166,9 +167,20 @@ def report_bytes(report: ie.SimReport) -> list:
 
 
 def block_scores(cb1, cb2, sampler, trials, seed):
-    """simulate_decode's sent pairs and scores, and the number of blocks it used."""
-    ranges, scores = ie.linksim._block_scores(cb1, cb2, sampler, trials, seed)
-    blocks = [(sent, table.copy()) for sent, table in scores(ranges)]
+    """simulate_decode's sent pairs and scores, and the number of blocks it used.
+
+    The map runs on one CPU, so every block is kept in this process.
+    """
+    xs, per_trial, scores = ie.linksim._pair_scorer(cb1, cb2, sampler, trials)
+    blocks = []
+
+    def keep(sent, y, rngs):
+        blocks.append((sent[0] * cb2.message_count + sent[1], scores(y).copy()))
+        return np.zeros(len(y))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        ie.linksim._map_trials(sampler, xs, seed, trials, per_trial, 1, keep)
     return (np.concatenate([sent for sent, _ in blocks]),
             np.concatenate([scores for _, scores in blocks]), len(blocks))
 
@@ -931,10 +943,10 @@ class TestForkedWorkers:
             for trials in self.TRIALS:
                 ref_sent, ref_scores = per_trial_scores(cb1, cb2, sampler, trials, 8)
                 ref_decoded = ref_scores.argmax(axis=1)
-                ranges, scores = ie.linksim._block_scores(cb1, cb2, sampler, trials, 8)
-                decoded = ie.linksim._map_blocks(
-                    lambda share: (table.argmax(axis=1) for _, table in scores(share)),
-                    ranges, 1)[0]
+                xs, size, scores = ie.linksim._pair_scorer(cb1, cb2, sampler, trials)
+                decoded = ie.linksim._map_trials(
+                    sampler, xs, 8, trials, size, 1,
+                    lambda sent, y, rngs: scores(y).argmax(axis=1))[0]
                 assert np.array_equal(decoded, ref_decoded)
                 assert ie.simulate_decode(cb1, cb2, sampler, trials, 8) == (
                     np.count_nonzero(ref_sent != ref_decoded) / trials)
@@ -973,6 +985,23 @@ class TestForkedWorkers:
             cb, sampler, ie.ScalingGaussianRelay(), b, p2, trials, seed))
         self._no_child_left()
 
+    def test_bad_arguments_fork_no_worker(self, monkeypatch):
+        """Every argument check runs before the map, which forks for 5 trials."""
+        pids = self._workers(monkeypatch, 3, 8)
+        twos = ie.Codebook(np.full((4, 8), 2, dtype=np.uint8), None, ie.Alphabet([0, 1, 2]))
+        wide = ie.Codebook(np.zeros((1 << 11, 8), dtype=np.uint8), None, ie.Alphabet([0, 1]))
+        adder = ie.DmMacSampler(make_binary_adder())
+        for call, match in ((library_calls(trials=0)["mac"], "trials"),
+                            (lambda: ie.simulate_decode(twos, twos, adder, 5), "outside"),
+                            (library_calls(b_target=NAN)["mac"], "finite"),
+                            (lambda: ie.simulate_decode(wide, wide, adder, 5), "too large")):
+            with pytest.raises(ValueError, match=match):
+                call()
+            assert pids == []
+            self._no_child_left()
+        library_calls()["mac"]()
+        assert len(pids) == 1
+
     def test_a_failed_fork_runs_its_share_in_process(self, monkeypatch):
         cb1, cb2, sampler, b = TestEnergySimulatorsMatchPerTrial._mac_case("discrete", 30, 0)
         self._workers(monkeypatch, 3, 30)
@@ -1005,22 +1034,42 @@ def test_simulators_reject_symbols_outside_the_channel_alphabets(simulate):
         calls[simulate]()
 
 
-@pytest.mark.parametrize("trials", [0, -3])
-@pytest.mark.parametrize("simulate", ["mac", "mhc", "decode"])
-def test_library_simulators_reject_fewer_than_one_trial(simulate, trials):
+def library_calls(trials=5, b_target=1.0, eps=0.1, p2_budget=0.0):
+    """One small call of each simulator, keyed "mac", "mhc" and "decode"."""
     x = ie.Alphabet([0.0, 1.0])
     cb = ie.generate_codebook(ie.Pmf.uniform(2), 8, 2 / 8, alphabet=x, seed=1)
     adder = ie.DmMacSampler(make_binary_adder())
-    calls = {
+    return {
         "mac": lambda: ie.simulate_mac_energy(cb, cb, adder, ie.EnergyFn([0.0, 1.0, 2.0]),
-                                              1.0, 0.1, trials),
+                                              b_target, eps, trials),
         "mhc": lambda: ie.simulate_mhc_harvest(
             cb, ie.DmPointToPointSampler(ie.DmChannel.noiseless(x)),
-            ie.ScalingGaussianRelay(), ie.EnergyFn([0.0, 1.0]), 0.0, trials),
+            ie.ScalingGaussianRelay(), ie.EnergyFn([0.0, 1.0]), p2_budget, trials),
         "decode": lambda: ie.simulate_decode(cb, cb, adder, trials),
     }
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("simulate", ["mac", "mhc", "decode"])
+def test_library_simulators_reject_fewer_than_one_trial(simulate, trials):
     with pytest.raises(ValueError, match="trials"):
-        calls[simulate]()
+        library_calls(trials=trials)[simulate]()
+
+
+@pytest.mark.parametrize("simulate, name, value", [
+    ("mac", "b_target", NAN), ("mac", "b_target", INF), ("mac", "b_target", -1.0),
+    ("mac", "eps", NAN), ("mac", "eps", INF), ("mac", "eps", -INF),
+    ("mhc", "p2_budget", NAN), ("mhc", "p2_budget", INF), ("mhc", "p2_budget", -1.0),
+])
+def test_library_simulators_reject_bad_energy_levels(simulate, name, value):
+    """A NaN target or supply would report no violations, and a negative supply all."""
+    with pytest.raises(ValueError, match="finite"):
+        library_calls(**{name: value})[simulate]()
+
+
+def test_library_simulators_take_a_negative_slack():
+    """eps only needs to be finite: a negative slack raises the floor."""
+    assert library_calls(eps=-0.1)["mac"]().viol_freq >= library_calls()["mac"]().viol_freq
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
