@@ -2,11 +2,12 @@
 """Sum rate versus received-energy floor on the Gaussian two-sender channel.
 
 Both senders share a power budget P; the receiver wants average received
-energy of at least B per channel use.  Up to B = 2P+1 the usual Gaussian
+energy of at least B per channel use.  Up to B = 2P+1 zero-mean Gaussian
 codebooks already deliver enough energy.  Beyond that the encoders must
-coordinate: a fraction of channel uses switches to identical constant
-signals that combine coherently (quadrupling received power), and the sum
-rate starts to fall, reaching zero at B = 4P+1.
+coordinate: each moves power P'' = (B-2P-1)/2 into a DC offset of the same
+sign, which combines coherently at the receiver (quadrupling its received
+power), and keeps the rest, P' = P - P'', as Gaussian variance.  The sum
+rate 0.5*log2(1 + 2P') falls to zero at B = 4P+1, where P'' = P.
 """
 
 import numpy as np
@@ -20,12 +21,12 @@ for power in POWERS:
     rows = gaussian_mac_sweep([power], b_grid)
     print(f"\nP = {power}   (thresholds: 2P+1 = {2*power+1}, 4P+1 = {4*power+1})")
     print(f"  unconstrained sum rate: {gaussian_unconstrained_sum_rate(power):.6f} bits/use")
-    print(f"  {'B':>6}  {'R_timeshare':>12}  {'lambda':>10}  {'R_no_ts':>9}")
+    print(f"  {'B':>6}  {'R_dc':>9}  {'P_prime':>8}  {'P_dprime':>8}  {'R_no_ts':>9}")
     for r in rows:
-        print(f"  {r.b_target:>6.3f}  {r.r_timeshare:>12.6f}  {r.lam:>10.6f}  "
-              f"{r.r_no_ts:>9.6f}")
+        print(f"  {r.b_target:>6.3f}  {r.r_timeshare:>9.6f}  {r.p_prime:>8.4f}  "
+              f"{r.p_dprime:>8.4f}  {r.r_no_ts:>9.6f}")
 
 print("""
-Reading the table: R_no_ts freezes lambda at 1 and collapses to 0 as soon
-as B exceeds 2P+1, while the time-sharing curve degrades gracefully --
+Reading the table: R_no_ts keeps zero-mean inputs and collapses to 0 as
+soon as B exceeds 2P+1, while the DC-offset curve degrades gracefully --
 coordinated energy beaming buys a strictly better trade-off.""")

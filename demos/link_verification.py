@@ -20,7 +20,7 @@ from infoenergy import (Alphabet, CostFn, DmChannel, DmMacSampler,
 # Both senders transmit the constant sqrt(P): amplitudes add before the
 # power law, so E[Y^2] = 4P + 1 rather than 2P + 1.
 P = 1.0
-policy = GaussianPhasePolicy(0.0, 0.0, P)
+policy = GaussianPhasePolicy(0.0, P)
 cb1, cb2 = generate_mac_codebooks(policy, 10_000, 0.0, 0.0, seed=1)
 rep = simulate_mac_energy(cb1, cb2, GaussianMacSampler(1.0), np.square,
                           b_target=4.5, eps=0.1, trials=200, seed=1)

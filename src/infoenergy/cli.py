@@ -4,8 +4,8 @@ One subcommand per reproduction artifact, each a pure function of its flags,
 input file, and seed: rerunning an invocation writes byte-identical output.
 Each subcommand loads its channel files, solves, and returns its output text;
 `run` writes that text to --out or stdout.
-Exit codes: 0 success, 2 invalid arguments, 3 infeasible problem, 4 malformed
-channel file.
+Exit codes: 0 success, 2 invalid arguments or an unwritable --out, 3
+infeasible problem, 4 malformed channel file.
 """
 
 from __future__ import annotations
@@ -67,14 +67,6 @@ def _positive(text: str) -> int:
 def _table(header: str, rows) -> str:
     """CSV text: the header line, then one line of formatted values per row."""
     return "\n".join([header] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
-
-
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,7 +145,7 @@ def _cmd_gaussian_mac(args):
     b_max = args.b_max if args.b_max is not None else 4.0 * args.P + 1.0
     rows = gaussian_mac_sweep([args.P], _sweep_grid(args.b_min, b_max, args.steps))
     return _table("P,B,R_timeshare,lambda,P_prime,P_dprime,R_no_ts,feasible", [
-        (r.power, r.b_target, r.r_timeshare, r.lam, r.p_prime, r.p_dprime, r.r_no_ts,
+        (r.power, r.b_target, r.r_timeshare, r.feasible, r.p_prime, r.p_dprime, r.r_no_ts,
          r.feasible) for r in rows])
 
 
@@ -195,7 +187,7 @@ def _cmd_simulate_mac(args):
                     for k, alphabet in enumerate(ch.input_alphabets))
         sampler, b = DmMacSampler(ch), energy
     else:
-        policy = GaussianPhasePolicy(0.0, 0.0, args.P)
+        policy = GaussianPhasePolicy(0.0, args.P)
         cb1, cb2 = generate_mac_codebooks(policy, args.n, 0.0, 0.0, seed=args.seed)
         sampler, b = GaussianMacSampler(1.0), np.square
     r = simulate_mac_energy(cb1, cb2, sampler, b, b_target, eps, args.trials, args.seed)
@@ -239,8 +231,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _emit(_COMMANDS[args.command](args), args.out)
-        return 0
+        text = _COMMANDS[args.command](args)
     except ChannelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -250,6 +241,16 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main():

@@ -38,15 +38,13 @@ _BLOCK_VALUES = 1 << 14
 
 @dataclass(frozen=True)
 class GaussianPhasePolicy:
-    """Two-phase generator: Gaussian codewords when Q=1, constants when Q=0."""
+    """Real-valued generator: every symbol is sqrt(p_dprime) + N(0, p_prime)."""
 
-    lam: float
     p_prime: float
     p_dprime: float
 
     def __post_init__(self):
-        if not (0 <= self.lam <= 1 and 0 <= self.p_prime < np.inf
-                and 0 <= self.p_dprime < np.inf):
+        if not (0 <= self.p_prime < np.inf and 0 <= self.p_dprime < np.inf):
             raise ValueError("invalid phase policy parameters")
 
 
@@ -136,19 +134,16 @@ def _block_cost(block: np.ndarray, cost, alphabet: Alphabet | None) -> np.ndarra
 
 
 def _draw_q(policy, rng, n):
-    """Shared coordination sequence for time-sharing and two-phase policies."""
+    """Shared coordination sequence for time-sharing policies."""
     if isinstance(policy, TimeSharingPolicy):
         return rng.choice(len(policy), size=n, p=policy.q_pmf.probs)
-    if isinstance(policy, GaussianPhasePolicy):
-        return (rng.random(n) < policy.lam).astype(int)
     return None
 
 
 def _draw_block(policy, rng, rows: int, n: int, q_seq, input_index: int) -> np.ndarray:
     """``rows`` codewords, the same numbers as ``rows`` one-word draws from ``rng``."""
     if isinstance(policy, GaussianPhasePolicy):
-        return np.where(q_seq == 1, rng.normal(0.0, np.sqrt(policy.p_prime), (rows, n)),
-                        np.sqrt(policy.p_dprime))
+        return rng.normal(np.sqrt(policy.p_dprime), np.sqrt(policy.p_prime), (rows, n))
     # Per word, one rng.choice(k, size, p=) per q-group in np.unique order; choice
     # maps one uniform per symbol through (cdf / cdf[-1]).searchsorted(u, "right").
     groups = [(np.arange(n), policy)] if isinstance(policy, Pmf) else [
@@ -167,21 +162,21 @@ def generate_codebook(policy, n: int, rate: float, *, alphabet: Alphabet | None 
     """Draw a codebook i.i.d. from the policy, rescreening over-budget words.
 
     Discrete policies (Pmf or TimeSharingPolicy) need the symbol alphabet and
-    store alphabet positions; two-phase policies take no alphabet and store
-    values.  Time-sharing and two-phase policies draw a shared Q sequence
-    first (or reuse the one given) and condition every codeword on it.  A
-    cost is a CostFn table or a function applied to symbol values elementwise.
+    store alphabet positions; Gaussian policies take no alphabet and store
+    values.  Time-sharing policies draw a shared Q sequence first (or reuse
+    the one given) and condition every codeword on it.  A cost is a CostFn
+    table or a function applied to symbol values elementwise.
     """
     messages = _message_count(n, rate)
-    if budget is not None and (cost is None or not np.isfinite(budget)):
-        raise ValueError("a cost budget must be finite, with a cost table or function "
-                         "to screen by")
+    if budget is not None and (cost is None or not 0 <= budget < np.inf):
+        raise ValueError("a cost budget must be finite and nonnegative, with a cost table "
+                         "or function to screen by")
     rng = _trial_rng(seed, 0x600D)
     if q_seq is None:
         q_seq = _draw_q(policy, rng, n)
     gaussian = isinstance(policy, GaussianPhasePolicy)
     if gaussian != (alphabet is None):
-        raise ValueError("discrete policies need an alphabet; two-phase policies take none")
+        raise ValueError("discrete policies need an alphabet; Gaussian policies take none")
 
     words = np.empty((messages, n), float if gaussian else np.min_scalar_type(len(alphabet) - 1))
     rows, done, rejected = max(1, _BLOCK_VALUES // n), 0, 0

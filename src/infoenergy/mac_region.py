@@ -12,9 +12,8 @@ result.  Both reuse exactly the bits a recomputation would give.  Stat
 tables are stat-major (a row per stat, a column per candidate), and the
 scorer skips the rows and zero-weight products that are exactly +-0.  A
 brute-force grid enumerator is provided as an independent test oracle, and
-the Gaussian two-sender example (information-bearing Gaussian phase
-time-shared against a constant energy-beaming phase) is solved in closed
-form.
+the Gaussian two-sender example (Gaussian codewords around a DC offset that
+both senders agree on) is solved in closed form.
 """
 
 from __future__ import annotations
@@ -687,15 +686,13 @@ def brute_force_mac_oracle(prob: MacProblem, w1: float, w2: float,
 
 @dataclass(frozen=True)
 class GaussianMacSolution:
-    """Optimal time-share between a Gaussian phase and a constant energy phase.
+    """Optimal policy of the Gaussian two-sender example.
 
-    lam is the fraction of uses carrying Gaussian codewords of power p_prime;
-    the rest transmit the constant sqrt(p_dprime) from both senders, which
-    combines coherently at the receiver.
+    Every symbol of both senders is sqrt(p_dprime) + N(0, p_prime), with the
+    same DC sign at both, so the offsets combine coherently at the receiver.
     """
 
     r_sum: float
-    lam: float
     p_prime: float
     p_dprime: float
     feasible: bool = True
@@ -709,28 +706,26 @@ def gaussian_unconstrained_sum_rate(power: float) -> float:
 
 
 def gaussian_mac_timeshare(power: float, b_target: float) -> GaussianMacSolution:
-    """Best achievable sum rate under a received-energy floor, in closed form.
+    """Best sum rate under a received-energy floor, in closed form.
 
-    Below the threshold b_target <= 2P+1 no time sharing is needed; above
-    4P+1 the problem is infeasible.  In between, the constant phase spends
-    the residual budget, so the energy 4P+1-2s fixes the Gaussian share
-    s = lam * p_prime = (4P+1-B)/2.  The supremum 0.5*log2(4P+2-B) is only
-    approached as lam -> 1; the policy returned has lam = 1 - 1e-6 (the
-    smallest energy share a 6-digit CSV still shows), meets B and P exactly,
-    and its own rate r_sum is within 1e-6 * 0.5*log2(1+2P) bits of it.
+    With DC power a and Gaussian variance P-a at both senders, the receiver
+    gets E[Y^2] = 4a + 2(P-a) + 1 = 2P+2a+1 and, knowing the offset, the sum
+    rate 0.5*log2(1 + 2(P-a)).  The least a meeting B is (B-2P-1)/2, clipped
+    to [0, P]: the rate is 0.5*log2(1+2P) up to B = 2P+1, then
+    0.5*log2(4P+2-B), down to 0 at B = 4P+1; above that B is infeasible.
+
+    No input law does better.  Given a time-sharing variable Q the senders
+    are independent with means m_k and variances v_k, m_k^2 + v_k averaging
+    at most P, so E[Y^2] - 1 = E[(m_1+m_2)^2 + v_1+v_2] <= 4P - E[v_1+v_2].
+    The Gaussian maximum-entropy bound and Jensen's inequality then cap the
+    sum rate at 0.5*log2(1 + E[v_1+v_2]) <= 0.5*log2(min(1+2P, 4P+2-B)).
     """
     if not (0 <= power < np.inf and 0 <= b_target < np.inf):
         raise ValueError("power and energy target must be finite and nonnegative")
     if b_target > 4.0 * power + 1.0 + FEAS_TOL:
-        return GaussianMacSolution(0.0, 0.0, 0.0, 0.0, feasible=False)
-    if b_target <= 2.0 * power + 1.0 + 1e-12:
-        return GaussianMacSolution(gaussian_unconstrained_sum_rate(power), 1.0, power, 0.0)
-    if b_target >= 4.0 * power + 1.0:
-        return GaussianMacSolution(0.0, 0.0, 0.0, power)
-    s = 0.5 * (4.0 * power + 1.0 - b_target)
-    lam = 1.0 - 1e-6
-    rate = 0.5 * lam * float(np.log2(1.0 + 2.0 * s / lam))
-    return GaussianMacSolution(rate, lam, s / lam, (power - s) / (1.0 - lam))
+        return GaussianMacSolution(0.0, 0.0, 0.0, feasible=False)
+    dc = min(max(0.5 * (b_target - 2.0 * power - 1.0), 0.0), power)
+    return GaussianMacSolution(gaussian_unconstrained_sum_rate(power - dc), power - dc, dc)
 
 
 @dataclass
@@ -738,7 +733,6 @@ class GaussianSweepRow:
     power: float
     b_target: float
     r_timeshare: float
-    lam: float
     p_prime: float
     p_dprime: float
     r_no_ts: float
@@ -746,10 +740,10 @@ class GaussianSweepRow:
 
 
 def gaussian_mac_sweep(powers, b_grid):
-    """Sum rate vs energy floor, with and without time sharing, per (P, B).
+    """Sum rate vs energy floor, with and without a DC offset, per (P, B).
 
-    The no-time-sharing column freezes lam at 1 and is reported as 0 where
-    its own feasibility check (B <= 2P+1) fails.
+    The zero-mean baseline sends no DC offset and is reported as 0 where its
+    own feasibility check (B <= 2P+1) fails.
     """
     powers = list(powers)
     b_grid = list(b_grid)
@@ -760,6 +754,6 @@ def gaussian_mac_sweep(powers, b_grid):
         for bt in b_grid:
             sol = gaussian_mac_timeshare(p, bt)
             no_ts = gaussian_unconstrained_sum_rate(p) if bt <= 2.0 * p + 1.0 + 1e-12 else 0.0
-            rows.append(GaussianSweepRow(p, bt, sol.r_sum, sol.lam, sol.p_prime,
-                                         sol.p_dprime, no_ts, sol.feasible))
+            rows.append(GaussianSweepRow(p, bt, sol.r_sum, sol.p_prime, sol.p_dprime,
+                                         no_ts, sol.feasible))
     return rows

@@ -49,7 +49,7 @@ def oracle_matrix():
 def energy_reports():
     """Violation-trend reports across 20 seeds and three blocklengths."""
     t0 = time.time()
-    policy = ie.GaussianPhasePolicy(0.0, 0.0, 1.0)
+    policy = ie.GaussianPhasePolicy(0.0, 1.0)
     reports = {}
     for seed in range(20):
         for n in (100, 1000, 10000):
@@ -182,7 +182,7 @@ def test_criterion_08_ba_monotone_and_bsc_value():
 
 def test_criterion_09_simulator_energy_law(energy_reports):
     reports, elapsed = energy_reports
-    policy = ie.GaussianPhasePolicy(0.0, 0.0, 1.0)
+    policy = ie.GaussianPhasePolicy(0.0, 1.0)
     cb1, cb2 = ie.generate_mac_codebooks(policy, 10000, 0.0, 0.0, seed=0)
     big = ie.simulate_mac_energy(cb1, cb2, ie.GaussianMacSampler(1.0),
                                  np.square, 4.5, 0.1, 200, seed=0)

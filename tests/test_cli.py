@@ -234,10 +234,20 @@ class TestSimulateCommands:
         hop = write_bsc_file(tmp_path / "hop.json", cost=(0.0, 1.0))
         out = tmp_path / "never.csv"
         for argv in (["simulate-mhc", "--P1", "0.5"],
-                     ["simulate-mhc", "--channel", hop, "--P1", "-1"]):
+                     ["simulate-mhc", "--channel", hop, "--P1", "0.1"]):
             assert run(argv + ["--n", "64", "--trials", "5", "--out", str(out)]) == 3, argv
             err = capsys.readouterr().err
             assert err.startswith("infeasible: ") and "incompatible with the policy" in err
+            assert not out.exists()
+
+    def test_negative_codebook_budget_exits_2(self, tmp_path, capsys):
+        # Costs are nonnegative, so no codeword can meet a negative budget.
+        hop = write_bsc_file(tmp_path / "hop.json", cost=(0.0, 1.0))
+        out = tmp_path / "never.csv"
+        for argv in (["simulate-mhc", "--P1", "-1"],
+                     ["simulate-mhc", "--channel", hop, "--P1", "-1"]):
+            assert run(argv + ["--n", "64", "--trials", "5", "--out", str(out)]) == 2, argv
+            assert capsys.readouterr().err.startswith("error: ")
             assert not out.exists()
 
     def test_negative_relay_supply_exits_2(self, tmp_path, capsys):
@@ -318,6 +328,13 @@ class TestCliContract:
         for sub in ("mac-region", "gaussian-mac", "mhc", "mhc-example",
                     "simulate-mac", "simulate-mhc"):
             assert sub in text
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        assert run(["mhc-example", "--steps", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
 
     def test_unknown_flag_exits_2_without_output(self, tmp_path, capsys):
         out = tmp_path / "never.csv"

@@ -38,13 +38,10 @@ def one_word_codebook(policy, n, rate, *, alphabet=None, cost=None, budget=None,
     rng = np.random.default_rng([seed, 0x600D])
     if q_seq is None and isinstance(policy, ie.TimeSharingPolicy):
         q_seq = rng.choice(len(policy), size=n, p=policy.q_pmf.probs)
-    elif q_seq is None and isinstance(policy, ie.GaussianPhasePolicy):
-        q_seq = (rng.random(n) < policy.lam).astype(int)
 
     def draw():
         if isinstance(policy, ie.GaussianPhasePolicy):
-            sd = np.sqrt(policy.p_prime) if policy.p_prime > 0 else 0.0
-            return np.where(q_seq == 1, rng.normal(0.0, sd, n), np.sqrt(policy.p_dprime))
+            return rng.normal(np.sqrt(policy.p_dprime), np.sqrt(policy.p_prime), n)
         if isinstance(policy, ie.Pmf):
             return rng.choice(len(policy), size=n, p=policy.probs)
         idx = np.empty(n, dtype=int)
@@ -229,19 +226,6 @@ class TestGenerateCodebook:
             ie.generate_codebook(ie.Pmf.uniform(4), 64, 6 / 64,
                                  alphabet=FOUR_LEVELS, budget=0.5, seed=3)
 
-    def test_two_phase_structure_matches_q(self):
-        pol = ie.GaussianPhasePolicy(0.5, 2.0, 3.0)
-        cb = ie.generate_codebook(pol, 100, 0.05, seed=5)
-        const = cb.codewords[:, cb.q_seq == 0]
-        assert np.allclose(const, np.sqrt(3.0))
-        gauss = cb.codewords[:, cb.q_seq == 1]
-        assert not np.allclose(gauss, gauss[0, 0])
-
-    def test_mac_pair_shares_q(self):
-        pol = ie.GaussianPhasePolicy(0.5, 1.0, 1.0)
-        cb1, cb2 = ie.generate_mac_codebooks(pol, 200, 0.0, 0.0, seed=6)
-        assert np.array_equal(cb1.q_seq, cb2.q_seq)
-
     def test_time_sharing_policy_follows_q(self):
         # Degenerate per-q pmfs make the codewords a deterministic image of Q.
         two = ie.Alphabet([0.0, 1.0])
@@ -255,14 +239,6 @@ class TestGenerateCodebook:
         q = cb1.q_seq
         assert np.array_equal(cb1.codewords, np.tile(q, (4, 1)))
         assert np.array_equal(cb2.codewords, np.tile(1 - q, (4, 1)))
-
-    def test_mismatched_q_sequences_rejected(self):
-        pol = ie.GaussianPhasePolicy(0.5, 1.0, 1.0)
-        cb1, _ = ie.generate_mac_codebooks(pol, 100, 0.0, 0.0, seed=8)
-        _, cb2 = ie.generate_mac_codebooks(pol, 100, 0.0, 0.0, seed=9)
-        with pytest.raises(ValueError, match="Q sequences"):
-            ie.simulate_mac_energy(cb1, cb2, ie.GaussianMacSampler(1.0),
-                                   np.square, 1.0, 0.1, 5, seed=0)
 
     def test_discrete_words_are_uint8_positions(self):
         cb = ie.generate_codebook(ie.Pmf.uniform(4), 64, 6 / 64, alphabet=FOUR_LEVELS,
@@ -281,7 +257,7 @@ class TestGenerateCodebook:
         with pytest.raises(ValueError, match="need an alphabet"):
             ie.generate_codebook(ie.Pmf.uniform(4), 10, 0.1)
         with pytest.raises(ValueError, match="take none"):
-            ie.generate_codebook(ie.GaussianPhasePolicy(0.5, 1.0, 1.0), 10, 0.1,
+            ie.generate_codebook(ie.GaussianPhasePolicy(1.0, 1.0), 10, 0.1,
                                  alphabet=FOUR_LEVELS)
 
     def test_size_guard(self):
@@ -295,10 +271,10 @@ class TestGenerateCodebook:
         with pytest.raises(ValueError, match="rate"):
             ie.generate_codebook(ie.Pmf.uniform(4), 10, rate, alphabet=FOUR_LEVELS)
 
-    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_rejects_non_finite_budget(self, budget):
-        # A NaN budget used to reject 1,001 words, then blame the policy.
-        with pytest.raises(ValueError, match="finite"):
+        # A NaN or negative budget used to reject 1,001 words, then blame the policy.
+        with pytest.raises(ValueError, match="finite and nonnegative"):
             ie.generate_codebook(ie.Pmf.uniform(4), 10, 0.2, alphabet=FOUR_LEVELS,
                                  cost=SQUARES, budget=budget)
 
@@ -343,7 +319,7 @@ class TestBlockDrawsMatchOneWordDraws:
 
     @pytest.mark.parametrize("screen", ["none", "callable"])
     def test_two_phase_pair(self, screen):
-        pol = ie.GaussianPhasePolicy(0.6, 2.0, 0.5)
+        pol = ie.GaussianPhasePolicy(0.9, 0.5)  # mean cost 1.4
         cost, budget = (None, None) if screen == "none" else (np.square, 1.6)
         cbs = ie.generate_mac_codebooks(pol, 25, 6 / 25, 3 / 25, costs=(cost, cost),
                                         budgets=(budget, budget), seed=21)
@@ -356,8 +332,8 @@ class TestBlockDrawsMatchOneWordDraws:
     def test_codebooks_larger_than_one_block(self, kind):
         # 64 words of 300 symbols exceed one block, so screening spans several.
         assert 64 * 300 > ie.linksim._BLOCK_VALUES
-        if kind == "two-phase":  # mean cost 0.7 * 2 + 0.3 * 1 = 1.7
-            pol, kwargs = ie.GaussianPhasePolicy(0.7, 2.0, 1.0), dict(cost=np.square, budget=1.75)
+        if kind == "two-phase":  # mean cost 0.7 + 1 = 1.7
+            pol, kwargs = ie.GaussianPhasePolicy(0.7, 1.0), dict(cost=np.square, budget=1.75)
         else:  # mean cost 2.5
             pol = ie.Pmf.uniform(4)
             kwargs = dict(alphabet=FOUR_LEVELS, budget=2.6,
@@ -369,12 +345,10 @@ class TestBlockDrawsMatchOneWordDraws:
     @pytest.mark.parametrize("rate", [0.0, 3 / 50])
     def test_q_drawn_from_the_codebook_stream(self, rate):
         # No Q given: the codebook draws its own first.  Rate 0 is a single word.
-        for pol, alphabet in ((ie.GaussianPhasePolicy(0.5, 1.0, 2.0), None),
-                              (self.SHARING, self.LEVELS3)):
-            want, q = one_word_codebook(pol, 50, rate, alphabet=alphabet, seed=31)
-            cb = ie.generate_codebook(pol, 50, rate, alphabet=alphabet, seed=31)
-            assert np.array_equal(cb.q_seq, q)
-            assert np.array_equal(cb.words, want)
+        want, q = one_word_codebook(self.SHARING, 50, rate, alphabet=self.LEVELS3, seed=31)
+        cb = ie.generate_codebook(self.SHARING, 50, rate, alphabet=self.LEVELS3, seed=31)
+        assert np.array_equal(cb.q_seq, q)
+        assert np.array_equal(cb.words, want)
 
     @pytest.mark.parametrize("seed", [4, 5, 10])
     def test_incompatible_budget_names_the_same_codeword(self, seed):
@@ -482,14 +456,23 @@ class TestSamplerMatchesComparisonSum:
 
 class TestSimulateMacEnergy:
     def test_constant_inputs_coherent_energy(self):
-        pol = ie.GaussianPhasePolicy(0.0, 0.0, 1.0)
+        pol = ie.GaussianPhasePolicy(0.0, 1.0)
         cb1, cb2 = ie.generate_mac_codebooks(pol, 10000, 0.0, 0.0, seed=1)
         rep = ie.simulate_mac_energy(cb1, cb2, ie.GaussianMacSampler(1.0),
                                      np.square, 4.5, 0.1, 200, seed=1)
         assert rep.mean_bn == pytest.approx(5.0, abs=0.1)
 
+    def test_attained_gaussian_policy_meets_the_floor(self):
+        # P = 1, B = 4: both senders send sqrt(1/2) + N(0, 1/2), so E[Y^2] = 2 + 1 + 1.
+        sol = ie.gaussian_mac_timeshare(1.0, 4.0)
+        pol = ie.GaussianPhasePolicy(sol.p_prime, sol.p_dprime)
+        cb1, cb2 = ie.generate_mac_codebooks(pol, 512, 6 / 512, 6 / 512, seed=3)
+        rep = ie.simulate_mac_energy(cb1, cb2, ie.GaussianMacSampler(1.0), np.square,
+                                     4.0, 0.05, 2000, seed=4)
+        assert abs(rep.mean_bn - 4.0) <= 5 * rep.mean_bn_se
+
     def test_violations_vanish_when_energy_margin_positive(self):
-        pol = ie.GaussianPhasePolicy(0.0, 0.0, 1.0)
+        pol = ie.GaussianPhasePolicy(0.0, 1.0)
         freqs = []
         for n in (100, 1000, 10000):
             cb1, cb2 = ie.generate_mac_codebooks(pol, n, 0.0, 0.0, seed=2)
@@ -501,7 +484,7 @@ class TestSimulateMacEnergy:
 
     def test_violations_saturate_when_target_unreachable(self):
         # E[Y^2] = 5 but the target is far above it.
-        pol = ie.GaussianPhasePolicy(0.0, 0.0, 1.0)
+        pol = ie.GaussianPhasePolicy(0.0, 1.0)
         cb1, cb2 = ie.generate_mac_codebooks(pol, 2000, 0.0, 0.0, seed=3)
         rep = ie.simulate_mac_energy(cb1, cb2, ie.GaussianMacSampler(1.0),
                                      np.square, 7.0, 0.1, 100, seed=3)
@@ -544,7 +527,7 @@ class TestSimulateMacEnergy:
                                     ie.EnergyFn([0.0, 1.0]), 0.0, 5)
 
     def test_deterministic_given_seed(self):
-        pol = ie.GaussianPhasePolicy(0.3, 1.0, 2.0)
+        pol = ie.GaussianPhasePolicy(1.0, 2.0)
         cb1, cb2 = ie.generate_mac_codebooks(pol, 500, 0.0, 0.0, seed=7)
         a = ie.simulate_mac_energy(cb1, cb2, ie.GaussianMacSampler(1.0),
                                    np.square, 3.0, 0.1, 50, seed=8)
@@ -558,7 +541,7 @@ class TestSimulateMacEnergy:
 
 class TestEnergyMarkovBound:
     def test_holds_on_generated_reports(self):
-        pol = ie.GaussianPhasePolicy(0.5, 1.0, 1.5)
+        pol = ie.GaussianPhasePolicy(1.0, 1.5)
         for seed in range(5):
             cb1, cb2 = ie.generate_mac_codebooks(pol, 400, 0.0, 0.0, seed=seed)
             rep = ie.simulate_mac_energy(cb1, cb2, ie.GaussianMacSampler(1.0),
@@ -653,7 +636,7 @@ class TestSimulateDecode:
         assert err >= 1.0 / (2 * clone.message_count)
 
     def test_gaussian_path_and_size_guard(self):
-        pol = ie.GaussianPhasePolicy(1.0, 1.0, 0.0)
+        pol = ie.GaussianPhasePolicy(1.0, 0.0)
         cb1, cb2 = ie.generate_mac_codebooks(pol, 60, 4 / 60, 4 / 60, seed=14)
         err = ie.simulate_decode(cb1, cb2, ie.GaussianMacSampler(0.01), 50, seed=15)
         assert err <= 0.1
@@ -697,7 +680,7 @@ class TestSimulateDecode:
             cb2 = ie.generate_codebook(ie.Pmf.uniform(2), 12, 10 / 12, alphabet=x, seed=2)
         else:
             sampler = ie.GaussianMacSampler(1.0)
-            cb1, cb2 = ie.generate_mac_codebooks(ie.GaussianPhasePolicy(1.0, 1.0, 0.0), 12,
+            cb1, cb2 = ie.generate_mac_codebooks(ie.GaussianPhasePolicy(1.0, 0.0), 12,
                                                  10 / 12, 10 / 12, seed=1)
         assert cb1.message_count * cb2.message_count == 1 << 20
         tracemalloc.start()
@@ -754,8 +737,7 @@ class TestBlockDecodeMatchesPerTrial:
     def test_random_gaussian_pairs(self, seed, monkeypatch):
         rs = np.random.default_rng(100 + seed)
         n = int(rs.integers(5, 300))
-        pol = ie.GaussianPhasePolicy(float(rs.uniform(0.3, 1.0)), float(rs.uniform(0.1, 3.0)),
-                                     float(rs.uniform(0.0, 2.0)))
+        pol = ie.GaussianPhasePolicy(float(rs.uniform(0.1, 3.0)), float(rs.uniform(0.0, 2.0)))
         cb1, cb2 = ie.generate_mac_codebooks(pol, n, int(rs.integers(1, 5)) / n,
                                              int(rs.integers(1, 5)) / n, seed=seed)
         sampler = ie.GaussianMacSampler(float(rs.uniform(0.5, 50.0)))
@@ -785,7 +767,7 @@ class TestBlockDecodeMatchesPerTrial:
                         for i, a in enumerate(ch.input_alphabets))
             sampler = ie.DmMacSampler(ch)
         else:
-            cb1, cb2 = ie.generate_mac_codebooks(ie.GaussianPhasePolicy(0.7, 1.0, 0.5), 12,
+            cb1, cb2 = ie.generate_mac_codebooks(ie.GaussianPhasePolicy(1.0, 0.5), 12,
                                                  3 / 12, 3 / 12, seed=41)
             sampler = ie.GaussianMacSampler(4.0)
         assert cb1.message_count * cb2.message_count > ie.linksim._BLOCK_VALUES
@@ -807,8 +789,7 @@ class TestEnergySimulatorsMatchPerTrial:
             b = ie.EnergyFn(rs.uniform(0.0, 2.5, len(ch.output_alphabet)))
             sampler = ie.DmMacSampler(ch)
         else:
-            pol = ie.GaussianPhasePolicy(float(rs.uniform(0.2, 0.9)), float(rs.uniform(0.1, 2.0)),
-                                         float(rs.uniform(0.0, 1.5)))
+            pol = ie.GaussianPhasePolicy(float(rs.uniform(0.1, 2.0)), float(rs.uniform(0.0, 1.5)))
             cb1, cb2 = ie.generate_mac_codebooks(pol, n, 2 / n, 1 / n, seed=seed)
             b, sampler = np.square, ie.GaussianMacSampler(float(rs.uniform(0.3, 3.0)))
         return cb1, cb2, sampler, b
@@ -935,7 +916,7 @@ class TestForkedWorkers:
         discrete = [ie.generate_codebook(ie.Pmf.uniform(len(a)), 10, 3 / 10, alphabet=a,
                                          seed=30 + i)
                     for i, a in enumerate(ch.input_alphabets)]
-        gaussian = ie.generate_mac_codebooks(ie.GaussianPhasePolicy(0.7, 1.0, 0.5), 12,
+        gaussian = ie.generate_mac_codebooks(ie.GaussianPhasePolicy(1.0, 0.5), 12,
                                              2 / 12, 2 / 12, seed=41)
         for (cb1, cb2), sampler, per_trial in ((discrete, ie.DmMacSampler(ch), 64),
                                                (gaussian, ie.GaussianMacSampler(4.0), 48)):
@@ -1076,7 +1057,7 @@ def test_library_simulators_take_a_negative_slack():
 class TestRejectsNonFiniteParameters:
     def test_phase_policy(self, bad):
         # A NaN p'' used to give a zero-power Gaussian phase: nan > 0 is False.
-        for args in ((0.5, bad, 1.0), (0.5, 1.0, bad), (bad, 1.0, 1.0)):
+        for args in ((bad, 1.0), (1.0, bad)):
             with pytest.raises(ValueError, match="phase policy"):
                 ie.GaussianPhasePolicy(*args)
 

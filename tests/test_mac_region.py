@@ -596,7 +596,7 @@ class TestGaussianMac:
     def test_below_threshold_no_time_sharing(self):
         sol = ie.gaussian_mac_timeshare(1.0, 3.0)
         assert sol.feasible
-        assert sol.lam == 1.0
+        assert (sol.p_prime, sol.p_dprime) == (1.0, 0.0)
         assert sol.r_sum == pytest.approx(EQ6_P1, abs=1e-12)
 
     def test_threshold_continuity_exact(self):
@@ -608,10 +608,9 @@ class TestGaussianMac:
         sol = ie.gaussian_mac_timeshare(1.0, 5.0)
         assert sol.feasible
         assert sol.r_sum == pytest.approx(0.0, abs=1e-9)
-        # All zero-rate splits tie; lexicographic rule picks the smallest.
-        assert sol.lam == 0.0
         assert sol.p_prime == 0.0
         assert sol.p_dprime == pytest.approx(1.0)
+        assert 2 * sol.p_prime + 4 * sol.p_dprime + 1 == pytest.approx(5.0, abs=1e-12)
 
     def test_rejects_non_finite_arguments(self):
         for power, b_target in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
@@ -632,25 +631,22 @@ class TestGaussianMac:
             assert sol.r_sum == pytest.approx(want, abs=1e-3)
 
     def test_policy_attains_floor_within_stated_gap(self):
-        """The returned policy meets B and P exactly and sits within
-        1e-6 * 0.5*log2(1+2P) bits below the closed form 0.5*log2(4P+2-B)."""
+        """The returned policy meets B and P exactly and attains the closed
+        form 0.5*log2(4P+2-B): the gap is zero."""
         for power in (0.5, 1.0, 2.0):
             for b_target in (2 * power + 1.2, 3 * power + 1, 4 * power + 0.9):
                 sol = ie.gaussian_mac_timeshare(power, b_target)
-                lam = sol.lam
-                energy = lam * (2 * sol.p_prime + 1) + (1 - lam) * (4 * sol.p_dprime + 1)
-                spend = lam * sol.p_prime + (1 - lam) * sol.p_dprime
-                assert energy == pytest.approx(b_target, abs=1e-9)
-                assert spend == pytest.approx(power, abs=1e-9)
+                energy = 2 * sol.p_prime + 4 * sol.p_dprime + 1
+                assert energy == pytest.approx(b_target, abs=1e-12)
+                assert sol.p_prime + sol.p_dprime == pytest.approx(power, abs=1e-12)
                 closed = 0.5 * np.log2(4 * power + 2 - b_target)
-                slack = 1e-6 * ie.gaussian_unconstrained_sum_rate(power)
-                assert closed - slack <= sol.r_sum <= closed
+                assert sol.r_sum == pytest.approx(closed, abs=1e-12)
 
     def test_solution_respects_power_budget(self):
         for b_target in (3.2, 4.4, 4.9):
             sol = ie.gaussian_mac_timeshare(1.0, b_target)
-            spend = sol.lam * sol.p_prime + (1 - sol.lam) * sol.p_dprime
-            assert spend <= 1.0 + 1e-6
+            spend = sol.p_prime + sol.p_dprime
+            assert spend <= 1.0 + 1e-12
             assert sol.p_prime >= 0 and sol.p_dprime >= 0
 
     def test_sweep_shapes(self):
