@@ -112,7 +112,8 @@ def _tilt(log_w: np.ndarray, cost: np.ndarray, budget: float, s: float):
     return r_hi, float(hi)
 
 
-def _ba(W: np.ndarray, cost: np.ndarray, budget: float, gain: np.ndarray | float = 0.0):
+def _ba(W: np.ndarray, cost: np.ndarray, budget: float, gain: np.ndarray | float = 0.0,
+        tol: float = BA_TOL_BITS):
     """Maximize I(r) + r.gain/ln2 in bits over input pmfs r with E_r[cost] <= budget.
 
     Each Blahut-Arimoto update r <- r*exp(D + gain - s*cost), normalised,
@@ -123,7 +124,7 @@ def _ba(W: np.ndarray, cost: np.ndarray, budget: float, gain: np.ndarray | float
     cost starts on the cheapest symbols alone with no budget.  The run stops
     once Blahut's dual bound max_x(D_x + gain_x - s*cost_x) + s*budget over
     the symbols it started on (D_x = 0 for an underflowed input) is within
-    BA_TOL_BITS, or after BA_MAX_ITER updates.  Returns (r, I(r) in bits, the
+    tol bits, or after BA_MAX_ITER updates.  Returns (r, I(r) in bits, the
     tilt s of r or inf if pinned, the objective in bits after each update,
     the bound minus the objective).
     """
@@ -142,7 +143,7 @@ def _ba(W: np.ndarray, cost: np.ndarray, budget: float, gain: np.ndarray | float
         # s > 0 only under a finite budget, so 0*inf never enters the bound.
         bound = (d + gain - s * cost)[allowed].max() + (s * budget if s else 0.0)
         gap = bound / LN2 - objective
-        if gap < BA_TOL_BITS:
+        if gap < tol:
             break
         prev = objective
         log_w = np.log(r, where=r > 0, out=np.full(r.size, -np.inf)) + d + gain
@@ -161,6 +162,11 @@ def dm_capacity_with_cost(
     Raises InfeasibleError when the budget is below the cheapest symbol and
     ValueError when it is NaN.
     """
+    return _capacity(ch, c, budget, BA_TOL_BITS)
+
+
+def _capacity(ch: DmChannel, c: CostFn | None, budget: float | None, tol: float):
+    """dm_capacity_with_cost with its Blahut-Arimoto run stopped within tol bits."""
     if ch.is_mac:
         raise AlphabetMismatchError("expected a point-to-point channel")
     W = ch.transition
@@ -181,5 +187,5 @@ def dm_capacity_with_cost(
             f"budget {budget_eff} is below the cheapest symbol cost {min_cost}"
         )
 
-    r, bits, s, iterates, gap = _ba(W, cost, budget_eff)
+    r, bits, s, iterates, gap = _ba(W, cost, budget_eff, tol=tol)
     return CapacityResult(bits, Pmf(np.maximum(r, 0.0)), float(r @ cost), s, gap, iterates)

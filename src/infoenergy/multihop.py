@@ -5,8 +5,8 @@ the second-hop capacity, where the relay's transmit budget is its own supply
 plus the mean energy it harvests from the first hop.  That max-min is concave
 in the first-hop pmf, and its optimum lies on the information-energy frontier
 of the pmfs maximising I(X1;Y1) + mu*E[b(Y1)], each one capacity._ba run;
-mhc_capacity bisects mu and certifies the result by the bracket's bound.  The
-four-level worked example is solved exactly as a scalar max-min.
+mhc_capacity brackets mu by Illinois steps and stops on the caps it
+reports.  The four-level worked example is solved exactly as a scalar max-min.
 """
 
 from __future__ import annotations
@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import BA_TOL_BITS, LN2, _ba, awgn_capacity, dm_capacity_with_cost
+from .capacity import BA_TOL_BITS, LN2, _ba, _capacity, awgn_capacity
 from .channel import (AwgnSpec, CostFn, DmChannel, EnergyFn, InfeasibleError,
                       Pmf)
 from .mac_region import _cost_polytope_vertices, simplex_grid
 from .metrics import entropy_bits
 
 FEAS_TOL = 1e-9
-_MU_STEPS = 200  # multiplier evaluations: doublings plus bisection steps
+_MU_STEPS = 200  # multiplier evaluations: doublings plus bracket steps
+_SOLVE_TOL_BITS = BA_TOL_BITS / 4  # each solve's stop, so the caps close within BA_TOL_BITS
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +70,7 @@ def _second_hop_capacity(prob: MhcProblem, budget: float):
     if isinstance(prob.hop2, AwgnSpec):
         return awgn_capacity(budget, prob.hop2.n0), None, 0.0
     try:
-        res = dm_capacity_with_cost(prob.hop2, prob.c2, budget)
+        res = _capacity(prob.hop2, prob.c2, budget, _SOLVE_TOL_BITS)
     except InfeasibleError:
         return 0.0, None, 0.0
     return res.capacity_bits, res.input_pmf, res.gap_bits
@@ -81,13 +82,17 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     A pmf p gets min(I(p), C2(beta.p + P2)): beta is the mean harvest per
     input symbol, C2 the second-hop capacity.  As mu grows, the pmf p_mu
     maximising I(p) + mu*beta.p within budget harvests more and carries less,
-    so mu is bisected on whether I(p_mu) > C2, after doubling from 1.  A pmf
-    harvesting at least p_lo's carries at most I(p_lo) + gap_lo, one
-    harvesting at most p_hi's gets at most C2(beta.p_hi + P2) + gap_hi (gap:
-    the kernel's), and none gets more than C2 at the largest harvest.  The
-    search stops once the least of these caps is within BA_TOL_BITS of the
-    best rate seen.  gap_bits is the least cap minus that rate, with each C2
-    in a cap raised by its own solve's dual gap.
+    so f(mu) = I(p_mu) - C2(beta.p_mu + P2) falls.  mu doubles from 1 until
+    f <= 0, then Illinois steps (regula falsi halving the f of an end kept
+    twice; the midpoint if it leaves the bracket) narrow [lo, hi].  A pmf
+    harvesting more than p_mu carries at most I(p_mu) + gap, one harvesting
+    less gets at most C2(beta.p_mu + P2) + gap2 (gap: the kernel's, gap2: the
+    C2 solve's), so I + gap + gap2 at lo and C2 + gap + gap2 at hi cap the
+    optimum, as do I(p_0) + gap and C2 + gap2 at the largest harvest.  Solves
+    stop within BA_TOL_BITS/4, and the search once the least cap is within
+    BA_TOL_BITS of the best rate or p_mu harvests all it can with f > 0.
+    gap_bits, that cap minus the rate, exceeds BA_TOL_BITS only if a solve
+    hit BA_MAX_ITER or the bracket ran out of floats.
     """
     W1 = prob.hop1.transition
     c1 = prob.c1.values
@@ -99,39 +104,43 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
 
     def frontier(mu):
         """(I, C2, kernel gap, C2's gap, (rate, pmf, relay budget, relay pmf)) at p_mu."""
-        r, i1, _, _, gap = _ba(W1, c1, prob.p1_budget, mu * shifted)
+        r, i1, _, _, gap = _ba(W1, c1, prob.p1_budget, mu * shifted, _SOLVE_TOL_BITS)
         budget = float(r @ beta) + prob.p2_budget
         c2, relay_pmf, gap2 = _second_hop_capacity(prob, budget)
         return i1, c2, gap, gap2, (min(i1, c2), r, budget, relay_pmf)
 
     i1, c2, gap, gap2, best = frontier(0.0)
-    # upper_i bounds the hop-1 capacity; upper_c, which stops the search, takes
-    # each C2 as solved, and bound_c adds the C2 solves' gaps to it.
-    upper_i, upper_c, bound_c = i1 + gap, np.inf, np.inf
+    upper_i, upper_c = i1 + gap, np.inf  # the hop-1 and hop-2 caps
     if i1 > c2:  # hop 2 binds at mu = 0 (else p_0 is optimal): buy harvest
         e_max = (_cost_polytope_vertices(c1, max(prob.p1_budget, c1.min())) @ beta).max()
         top = max(float(e_max) + prob.p2_budget, best[2])
         if top != best[2]:
             c2, _, gap2 = _second_hop_capacity(prob, top)
-        upper_c, bound_c = c2, c2 + gap2
-        lo, hi = 0.0, None
-        for _ in range(_MU_STEPS):
-            if min(upper_i, upper_c) - best[0] < BA_TOL_BITS:
+        upper_c = c2 + gap2
+        lo, hi, f_lo, f_hi, last, harvest = 0.0, None, i1 - c2, None, None, best[2]
+        for _ in range(_MU_STEPS):  # no larger mu lowers upper_c once p_mu harvests e_max
+            if (min(upper_i, upper_c) - best[0] < BA_TOL_BITS
+                    or hi is None and harvest >= top - FEAS_TOL):
                 break
-            mu = (2.0 * lo or 1.0) if hi is None else 0.5 * (lo + hi)
+            mu = (2.0 * lo or 1.0) if hi is None else (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
             if hi is not None and not lo < mu < hi:
-                break
+                mu = 0.5 * (lo + hi)
+                if not lo < mu < hi:
+                    break
             i1, c2, gap, gap2, point = frontier(mu)
-            best = max(best, point, key=lambda b: b[0])
-            if i1 > c2:
-                lo, upper_i = mu, min(upper_i, i1 + gap)
+            best, harvest = max(best, point, key=lambda b: b[0]), point[2]
+            lower = i1 > c2
+            if lower:
+                lo, f_lo, upper_i = mu, i1 - c2, min(upper_i, i1 + gap + gap2)
             else:
-                hi, upper_c = mu, min(upper_c, c2 + gap)
-                bound_c = min(bound_c, c2 + gap + gap2)
+                hi, f_hi, upper_c = mu, i1 - c2, min(upper_c, c2 + gap + gap2)
+            if lower == last and hi is not None:  # an end kept twice: halve its f
+                f_lo, f_hi = (f_lo, 0.5 * f_hi) if lower else (0.5 * f_lo, f_hi)
+            last = lower
 
     value, pmf, budget, relay_pmf = best
     return MhcSolution(max(value, 0.0), Pmf(pmf), budget, relay_pmf,
-                       max(float(min(upper_i, bound_c)) - value, 0.0))
+                       max(float(min(upper_i, upper_c)) - value, 0.0))
 
 
 def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:

@@ -1,5 +1,6 @@
 """Command-line front end: flags, exit codes, file handling."""
 
+import argparse
 import json
 
 import numpy as np
@@ -317,6 +318,39 @@ class TestEverySubcommand:
         err = capsys.readouterr().err
         if code == 4:
             assert paths[files[0]] in err  # the message names the file
+        assert not out.exists()
+
+
+def float_flags(command):
+    """The option strings of a subcommand's float flags, checking that each
+    one parses through cli._finite."""
+    parser = cli._build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = []
+    for action in subparsers.choices[command]._actions:
+        if action.type is cli._finite:
+            flags.append(action.option_strings[0])
+        else:
+            assert action.type is not float and not isinstance(action.default, float), action
+    return flags
+
+
+class TestNonFiniteFlags:
+    def test_every_float_flag_rejects_non_finite_values(self, tmp_path, capsys):
+        """Each subcommand exits 2 on nan, inf or -inf in any float flag; the
+        simulators both with and without --channel."""
+        argvs = every_subcommand(tmp_path)
+        argvs += [[a for a in argv if a != "--channel" and not a.endswith(".json")]
+                  for argv in argvs if argv[0].startswith("simulate-")]
+        assert sum("--channel" not in argv for argv in argvs) == 4
+        out = tmp_path / "never.txt"
+        for argv in argvs:
+            flags = float_flags(argv[0])
+            assert flags, argv
+            for flag in flags:
+                for value in ("nan", "inf", "-inf"):  # "=" keeps -inf from reading as a flag
+                    assert run(argv + [f"{flag}={value}", "--out", str(out)]) == 2, (argv, flag)
+                    assert "expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
 
