@@ -8,9 +8,9 @@ its messages, then the channel output, then the relay's block.  All three
 simulators reject codeword symbols outside the channel's input alphabets and
 run their trials through one block map, ``_map_trials``, which draws a block
 of trials, hands it to the simulator's per-block function and splits the
-blocks across every CPU in the process's affinity mask, the caller's and
-forked workers; as each trial reads only its own stream, no result depends on
-the block size or the CPU count.
+blocks across every CPU in the process's affinity mask with
+``_workers.fork_map``; as each trial reads only its own stream, no result
+depends on the block size or the CPU count.
 
 The relay budget check uses the per-block reading of the harvesting
 constraint: the relay observes a whole received block, then spends at most
@@ -20,12 +20,11 @@ battery is out of scope.
 
 from __future__ import annotations
 
-import mmap
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._workers import fork_map
 from .channel import Alphabet, CostFn, DmChannel, EnergyFn, InfeasibleError, Pmf
 from .metrics import TimeSharingPolicy
 
@@ -304,66 +303,28 @@ def _map_trials(sampler, xs, seed: int, trials: int, per_trial: int, width: int,
                 score) -> np.ndarray:
     """(width, trials) float64 rows, scored a block of trials at a time.
 
-    Blocks hold max(1, _BLOCK_VALUES // per_trial) trials.  Trial t draws from
-    _trial_rng(seed, t) one uniform message per array of ``xs``, then its
-    output.  ``score(sent, y, rngs)`` gets a block's sent messages
-    (len(xs), k), outputs (k, n) and trial streams, from which the relay's
-    blocks are drawn, and returns (width, k) rows, or (k,) if width is 1.
-    Worker w of W, one per CPU in the affinity mask, takes blocks w, w + W, ...:
-    the caller takes share 0 and W - 1 forked children the rest, writing into
-    one shared anonymous mapping.  A child ends in os._exit, so it never
-    returns into the caller, runs its exit handlers or flushes its stdio.  The
-    shares of children that failed, or could not be forked, then run in
-    process, in block order and with the caller's share if that failed too, so
-    an exception surfaces as in a serial run.  Every trial reads only its own
-    stream, so the rows depend on neither the block size nor W.
+    Blocks hold max(1, _BLOCK_VALUES // per_trial) trials and are the items
+    of ``fork_map``.  Trial t draws from _trial_rng(seed, t) one uniform
+    message per array of ``xs``, then its output.  ``score(sent, y, rngs)``
+    gets a block's sent messages (len(xs), k), outputs (k, n) and trial
+    streams, from which the relay's blocks are drawn, and returns (width, k)
+    rows, or (k,) if width is 1.  Every trial reads only its own stream, so
+    the rows depend on neither the block size nor the CPU count.
     """
     size = max(1, _BLOCK_VALUES // per_trial)
     blocks = [range(start, min(start + size, trials)) for start in range(0, trials, size)]
-    rows = np.frombuffer(mmap.mmap(-1, 8 * width * trials)).reshape(width, -1)
 
-    def fill(share):
-        for block in share:
-            rngs = [_trial_rng(seed, t) for t in block]
-            sent = np.empty((len(xs), len(block)), dtype=np.intp)
-            y = np.empty((len(block), xs[0].shape[1]), np.intp if sampler.discrete else float)
-            for j, rng in enumerate(rngs):
-                sent[:, j] = [rng.integers(len(x)) for x in xs]
-                y[j] = sampler.sample(*(x[m] for x, m in zip(xs, sent[:, j])), rng)
-            rows[:, block.start:block.stop] = score(sent, y, rngs)
+    def run(k, rows):
+        block = blocks[k]
+        rngs = [_trial_rng(seed, t) for t in block]
+        sent = np.empty((len(xs), len(block)), dtype=np.intp)
+        y = np.empty((len(block), xs[0].shape[1]), np.intp if sampler.discrete else float)
+        for j, rng in enumerate(rngs):
+            sent[:, j] = [rng.integers(len(x)) for x in xs]
+            y[j] = sampler.sample(*(x[m] for x, m in zip(xs, sent[:, j])), rng)
+        rows[:, block.start:block.stop] = score(sent, y, rngs)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(blocks), cpus if hasattr(os, "fork") else 1)
-    shares = [blocks[w::workers] for w in range(workers)]
-    children, failed, error = [], [], None
-    try:
-        for share in shares[1:]:
-            try:
-                pid = os.fork()
-            except OSError:  # the share runs in process below
-                failed.append(share)
-                continue
-            if pid == 0:
-                status = 1
-                try:
-                    fill(share)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children.append((pid, share))
-        try:
-            fill(shares[0])
-        except Exception as exc:
-            error = exc
-    finally:
-        failed += [share for pid, share in children if os.waitpid(pid, 0)[1]]
-    if error is not None:
-        if not failed:
-            raise error
-        failed.append(shares[0])
-    if failed:
-        fill(sorted((block for share in failed for block in share), key=lambda b: b.start))
-    return rows
+    return fork_map(run, len(blocks), (width, trials))
 
 
 def _energy_fn(b, sampler):

@@ -13,7 +13,8 @@ tables are stat-major (a row per stat, a column per candidate), and the
 scorer skips the rows and zero-weight products that are exactly +-0.  A
 brute-force grid enumerator is provided as an independent test oracle, and
 the Gaussian two-sender example (Gaussian codewords around a DC offset that
-both senders agree on) is solved in closed form.
+both senders agree on) is solved in closed form.  A sweep's points are
+spread over the CPUs of the affinity mask, with the same rows on any number.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._workers import fork_map
 from .channel import CostFn, DmChannel, EnergyFn, InfeasibleError, Pmf
 from .metrics import (TimeSharingPolicy, _vary_first_input, entropy_bits,
                       mac_mutual_informations)
@@ -522,6 +524,12 @@ def _check_weights(w1: float, w2: float):
         raise ValueError("weights must be finite, nonnegative and not both zero")
 
 
+def _check_point(w1: float, w2: float, q_size: int):
+    if not 1 <= q_size <= 5:
+        raise ValueError("q_size must be between 1 and 5")
+    _check_weights(w1, w2)
+
+
 def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
                        q_size: int = 4) -> MacBoundaryResult:
     """Maximize w1*R1 + w2*R2 over time-sharing policies meeting all constraints.
@@ -531,9 +539,7 @@ def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
     infeasibility result (never raises) when the energy target exceeds the
     best achievable E[b(Y)] under the cost budgets.
     """
-    if not 1 <= q_size <= 5:
-        raise ValueError("q_size must be between 1 and 5")
-    _check_weights(w1, w2)
+    _check_point(w1, w2, q_size)
 
     try:
         e_max, p1e, p2e = max_received_energy(prob)
@@ -595,17 +601,27 @@ def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
 
 
 def mac_region_sweep(prob: MacProblem, b_grid, weights, q_size: int = 4):
-    """Boundary points for each (B, weight) pair; infeasibility encoded per row."""
+    """Boundary points for each (B, weight) pair; infeasibility encoded per row.
+
+    Every argument is checked, as a serial sweep would, before the fork map.
+    """
     b_grid = list(b_grid)
     if sorted(b_grid) != b_grid:
         raise ValueError("B grid must be sorted ascending")
-    rows = []
+    points = []
     for bt in b_grid:
         for w1, w2 in weights:
-            res = mac_boundary_point(prob.with_target(bt), w1, w2, q_size)
-            t = res.triple if res.feasible else RateEnergyTriple(0.0, 0.0, 0.0)
-            rows.append(MacSweepRow(bt, w1, w2, res.feasible, t.r1, t.r2, t.b))
-    return rows
+            points.append((prob.with_target(bt), w1, w2))
+            _check_point(w1, w2, q_size)
+
+    def solve(i, out):
+        res = mac_boundary_point(*points[i], q_size)
+        t = res.triple if res.feasible else RateEnergyTriple(0.0, 0.0, 0.0)
+        out[i] = res.feasible, t.r1, t.r2, t.b
+
+    out = fork_map(solve, len(points), (len(points), 4))
+    return [MacSweepRow(p.b_target, w1, w2, bool(f), float(r1), float(r2), float(eb))
+            for (p, w1, w2), (f, r1, r2, eb) in zip(points, out)]
 
 
 # ---------------------------------------------------------------------------

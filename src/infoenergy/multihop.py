@@ -143,11 +143,21 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
                        max(float(min(upper_i, upper_c)) - value, 0.0))
 
 
+def _affordable(grid: np.ndarray, cost: np.ndarray, budget: float) -> np.ndarray:
+    """Gridded pmfs within budget as capacity._ba reads it: pinned to the
+    symbols within 1e-12 of the cheapest cost if the budget is, else E[cost] <= budget."""
+    if budget <= cost.min() + 1e-12:
+        return (grid[:, cost > cost.min() + 1e-12] == 0).all(axis=1)
+    return grid @ cost <= budget
+
+
 def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:
     """max over gridded (p(x1), p(x2)) of min(I(X1;Y1), I(X2;Y2)).
 
     Joint enumeration with the relay budget coupled through p(x1); the
     independent check that the nested solver attains the cut-set value.
+    Both budgets admit exactly the pmfs that mhc_capacity's solves admit, so
+    the value is a lower bound on the capacity.
     """
     n1 = prob.hop1.transition.shape[0]
     if n1 > 4 or (isinstance(prob.hop2, DmChannel)
@@ -155,13 +165,12 @@ def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:
         raise ValueError("oracle restricted to hop alphabets of size <= 4")
     if steps > 21:
         raise ValueError("oracle restricted to steps <= 21")
+    if prob.c1.values.min() > prob.p1_budget + FEAS_TOL:
+        raise InfeasibleError("no gridded input satisfies the hop-1 cost budget")
 
     W1 = prob.hop1.transition
     g1 = simplex_grid(n1, steps)
-    ec1 = g1 @ prob.c1.values
-    g1 = g1[ec1 <= prob.p1_budget + FEAS_TOL]
-    if g1.shape[0] == 0:
-        raise InfeasibleError("no gridded input satisfies the hop-1 cost budget")
+    g1 = g1[_affordable(g1, prob.c1.values, prob.p1_budget)]
     i1 = entropy_bits(g1 @ W1) - g1 @ entropy_bits(W1)
     budgets = g1 @ (W1 @ prob.b.values) + prob.p2_budget
 
@@ -171,15 +180,17 @@ def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:
     W2 = prob.hop2.transition
     g2 = simplex_grid(W2.shape[0], steps)
     i2 = entropy_bits(g2 @ W2) - g2 @ entropy_bits(W2)
-    ec2 = g2 @ (prob.c2.values if prob.c2 is not None else np.zeros(W2.shape[0]))
+    c2 = prob.c2.values if prob.c2 is not None else np.zeros(W2.shape[0])
+    ec2 = g2 @ c2
     order = np.argsort(ec2, kind="stable")
-    ec2_sorted = ec2[order]
     best_i2_upto = np.maximum.accumulate(i2[order])
 
-    # For each p1, the richest affordable p2 is a prefix maximum.
-    pos = np.searchsorted(ec2_sorted, budgets + FEAS_TOL, side="right") - 1
-    vals = np.where(pos >= 0, np.minimum(i1, best_i2_upto[np.maximum(pos, 0)]), -np.inf)
-    return float(vals.max())
+    # For each p1, the richest affordable p2 is a prefix maximum; a budget
+    # within 1e-12 of the cheapest cost is pinned to the cheapest symbols.
+    pos = np.searchsorted(ec2[order], budgets, side="right") - 1
+    best_i2 = np.where(pos >= 0, best_i2_upto[np.maximum(pos, 0)], -np.inf)
+    best_i2[np.abs(budgets - c2.min()) <= 1e-12] = i2[_affordable(g2, c2, c2.min())].max()
+    return float(np.minimum(i1, best_i2).max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Two-sender region boundary solver, grid oracle, and Gaussian example."""
 
+import dataclasses
+import os
+from functools import lru_cache
+from itertools import combinations, product
+
 import numpy as np
 import pytest
-
-from itertools import combinations, product
 
 import infoenergy as ie
 from conftest import make_adder_problem, make_random_mac_instance
@@ -164,6 +167,7 @@ class TestMacRegionSweep:
 
     def test_empty_grid(self):
         assert ie.mac_region_sweep(make_adder_problem(), [], [(1, 1)]) == []
+        assert ie.mac_region_sweep(make_adder_problem(), [0.0, 1.0], []) == []
 
     def test_b_zero_matches_energy_free_problem(self):
         prob = make_random_mac_instance(8)
@@ -172,6 +176,130 @@ class TestMacRegionSweep:
         r0 = ie.mac_boundary_point(prob.with_target(0.0), 1.0, 1.0, q_size=2)
         rf = ie.mac_boundary_point(free, 1.0, 1.0, q_size=2)
         assert r0.weighted_rate == pytest.approx(rf.weighted_rate, abs=1e-9)
+
+
+SWEEP_WEIGHTS = ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+
+
+def sweep_case(name):
+    """(problem, B grid): the adder, and an acceptance instance with one infeasible B."""
+    if name == "adder":
+        return make_adder_problem(), [0.0, 1.0, 2.0]
+    prob = make_random_mac_instance(2024)
+    e_max = mr.max_received_energy(prob)[0]
+    return prob, [0.0, 0.9 * e_max, e_max + 0.1]
+
+
+def serial_sweep(prob, b_grid, weights, q_size):
+    """Reference mac_region_sweep: a frozen copy of its one-point-at-a-time loop."""
+    rows = []
+    for bt in b_grid:
+        for w1, w2 in weights:
+            res = ie.mac_boundary_point(prob.with_target(bt), w1, w2, q_size)
+            t = res.triple if res.feasible else mr.RateEnergyTriple(0.0, 0.0, 0.0)
+            rows.append(mr.MacSweepRow(bt, w1, w2, res.feasible, t.r1, t.r2, t.b))
+    return rows
+
+
+@lru_cache(maxsize=None)
+def serial_rows(name):
+    return sweep_bytes(serial_sweep(*sweep_case(name), SWEEP_WEIGHTS, 2))
+
+
+def sweep_bytes(rows) -> list:
+    """Bytes of every field of every row, so -0.0 and NaN compare exactly."""
+    return [[np.asarray(getattr(row, f.name)).tobytes() for f in dataclasses.fields(row)]
+            for row in rows]
+
+
+class TestSweepWorkers:
+    """The sweep's points spread over 1-3 CPUs give the serial rows bit for bit
+    and leave no child; every argument is checked before any fork."""
+
+    @staticmethod
+    def _workers(monkeypatch, count):
+        """Show ``count`` CPUs; return the pids of the forks made."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        pids, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["adder", "acceptance"])
+    def test_rows_match_the_serial_loop(self, name, count, monkeypatch):
+        pids = self._workers(monkeypatch, count)
+        prob, b_grid = sweep_case(name)
+        rows = ie.mac_region_sweep(prob, b_grid, SWEEP_WEIGHTS, q_size=2)
+        assert sweep_bytes(rows) == serial_rows(name)
+        assert all(type(row.feasible) is bool for row in rows)
+        assert len(pids) == count - 1
+        self._no_child_left()
+
+    def test_a_failed_fork_runs_its_share_in_process(self, monkeypatch):
+        self._workers(monkeypatch, 3)
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        prob, b_grid = sweep_case("adder")
+        rows = ie.mac_region_sweep(prob, b_grid, SWEEP_WEIGHTS, q_size=2)
+        assert sweep_bytes(rows) == serial_rows("adder")
+
+    @pytest.mark.parametrize("b_grid, weights, q_size", [
+        ([0.0, 1.0], [(1.0, 1.0), (-1.0, 0.0)], 2),
+        ([0.0, 1.0], [(1.0, 1.0), (1.0, np.nan)], 2),
+        ([0.0, 1.0], [(0.0, 0.0)], 2),
+        ([0.0, 1.0], [(1.0, 1.0)], 0),
+        ([-1.0, 0.0], [(1.0, 1.0)], 2),
+        ([0.0, np.inf], [(1.0, 1.0), (np.inf, 1.0)], 2),
+    ])
+    def test_bad_arguments_fork_no_worker(self, b_grid, weights, q_size, monkeypatch):
+        """Each raises the ValueError of the serial loop, and before any point is solved."""
+        prob = make_adder_problem()
+        with pytest.raises(ValueError) as serial:
+            serial_sweep(prob, b_grid, weights, q_size)
+        pids = self._workers(monkeypatch, 3)
+        monkeypatch.setattr(mr, "mac_boundary_point", None)  # calling it would raise TypeError
+        with pytest.raises(ValueError) as swept:
+            ie.mac_region_sweep(prob, b_grid, weights, q_size)
+        assert str(swept.value) == str(serial.value)
+        assert pids == []
+        self._no_child_left()
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("refused", [(1,), (2,), (4, 5), (5, 7)])
+    def test_a_failed_point_raises_the_serial_error(self, count, refused, monkeypatch):
+        """Points 0-8 of the adder sweep; worker w of W solves points w, w + W, ..."""
+        prob, b_grid = sweep_case("adder")
+        points = [(bt, w) for bt in b_grid for w in SWEEP_WEIGHTS]
+        solve = mr.mac_boundary_point
+
+        def refusing(target, w1, w2, q_size):
+            k = points.index((target.b_target, (w1, w2)))
+            if k in refused:
+                raise RuntimeError(f"point {k} refused")
+            return solve(target, w1, w2, q_size)
+
+        monkeypatch.setattr(mr, "mac_boundary_point", refusing)
+        pids = self._workers(monkeypatch, count)
+        with pytest.raises(RuntimeError, match=f"^point {refused[0]} refused$"):
+            ie.mac_region_sweep(prob, b_grid, SWEEP_WEIGHTS, q_size=2)
+        assert len(pids) == count - 1
+        self._no_child_left()
 
 
 class TestBruteForceOracle:

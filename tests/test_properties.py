@@ -5,11 +5,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import infoenergy as ie
 
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
+FEWER = settings(FEW, max_examples=10)  # each example solves two relay problems
 ROUNDING = 1e-12
 
 
@@ -91,6 +92,14 @@ def relay_problems(draw):
     return prob, p2 + draw(st.floats(0.0, 1.0))
 
 
+def relay_problem(hop1, hop2, c1, c2, b, p1, p2):
+    """MhcProblem on two discrete hops given as transition matrices and tables."""
+    hops = [ie.DmChannel.point_to_point(ie.Alphabet(np.arange(float(len(w)))),
+                                        ie.Alphabet(np.arange(float(len(w[0])))), w)
+            for w in (hop1, hop2)]
+    return ie.MhcProblem(*hops, ie.CostFn(c1), ie.CostFn(c2), ie.EnergyFn(b), p1, p2)
+
+
 def largest_harvest(prob):
     """max beta.p over hop-1 pmfs within budget: a symbol, or two mixed to spend it.
 
@@ -125,6 +134,20 @@ def test_relay_capacity_within_the_hop_capacities(case):
     assert sol.capacity_bits <= cap + ROUNDING
 
 
+@FEWER
+@given(relay_problems())
+# A hop-2 cost 1e-9 above a zero relay budget is out of the solver's reach.
+@example((relay_problem([[0.5, 0.5], [0, 1]], [[0.5, 0.5], [0, 1]], [0, 0], [0, 1e-9],
+                        [0, 0], 0.0, 0.0), 0.0))
+def test_relay_capacity_at_least_the_cutset_grid(case):
+    # The grid's pmfs are feasible for the solver, so capacity_bits + gap_bits
+    # caps their value; ROUNDING covers a grid cost rounded onto the budget.
+    prob, _ = case
+    sol = ie.mhc_capacity(prob)
+    assert sol.capacity_bits + sol.gap_bits >= (
+        ie.cutset_joint_oracle(prob, steps=11) - ROUNDING)
+
+
 @FEW
 @given(relay_problems())
 def test_relay_capacity_nondecreasing_in_the_relay_supply(case):
@@ -133,3 +156,24 @@ def test_relay_capacity_nondecreasing_in_the_relay_supply(case):
     more = ie.mhc_capacity(ie.MhcProblem(prob.hop1, prob.hop2, prob.c1, prob.c2, prob.b,
                                          prob.p1_budget, larger))
     assert more.capacity_bits >= sol.capacity_bits - more.gap_bits - ROUNDING
+
+
+@FEWER
+@given(relay_problems(), st.floats(0.0, 1.0))
+def test_relay_capacity_nondecreasing_in_the_hop1_budget(case, more):
+    prob, _ = case
+    sol = ie.mhc_capacity(prob)
+    larger = ie.mhc_capacity(ie.MhcProblem(prob.hop1, prob.hop2, prob.c1, prob.c2, prob.b,
+                                           prob.p1_budget + more, prob.p2_budget))
+    assert larger.capacity_bits >= sol.capacity_bits - larger.gap_bits - ROUNDING
+
+
+@FEWER
+@given(relay_problems(), st.floats(0.0, 1.0))
+def test_relay_capacity_nondecreasing_in_a_scaled_harvest(case, more):
+    prob, _ = case
+    sol = ie.mhc_capacity(prob)
+    larger = ie.mhc_capacity(ie.MhcProblem(prob.hop1, prob.hop2, prob.c1, prob.c2,
+                                           ie.EnergyFn((1.0 + more) * prob.b.values),
+                                           prob.p1_budget, prob.p2_budget))
+    assert larger.capacity_bits >= sol.capacity_bits - larger.gap_bits - ROUNDING
