@@ -3,6 +3,7 @@
 The discrete solver is one Blahut-Arimoto run whose every update is tilted
 by exp(-s*c(X)) with the least multiplier s >= 0 that keeps it within budget,
 so each iterate is feasible, and stops on Blahut's dual bound (gap_bits).
+Every solver here and in multihop reads a cost budget by _budget_rule.
 With a gain per symbol it also traces the relay's information-energy
 frontier.  The Gaussian case is handled in closed form only.
 """
@@ -20,6 +21,7 @@ LN2 = float(np.log(2.0))
 
 BA_TOL_BITS = 1e-7
 BA_MAX_ITER = 20000
+BUDGET_TOL = 1e-12  # a budget this close to the cheapest cost is pinned to it
 
 
 @dataclass
@@ -72,6 +74,18 @@ def _divergences(W: np.ndarray, r: np.ndarray):
     return r, d, info
 
 
+def _budget_rule(cost: np.ndarray, budget: float):
+    """(symbols allowed, budget on E[cost]): InfeasibleError more than BUDGET_TOL
+    below the cheapest cost, within BUDGET_TOL of it the symbols that close to it
+    and no budget, else every symbol and E[cost] <= budget."""
+    floor = cost.min()
+    if budget < floor - BUDGET_TOL:
+        raise InfeasibleError(f"budget {budget} is below the cheapest symbol cost {floor}")
+    if budget <= floor + BUDGET_TOL:
+        return cost <= floor + BUDGET_TOL, np.inf
+    return np.ones(cost.size, dtype=bool), budget
+
+
 def _tilt(log_w: np.ndarray, cost: np.ndarray, budget: float, s: float):
     """(r, s): r proportional to exp(log_w - s*cost) for the least s >= 0 with
     E_r[cost] <= budget.
@@ -120,17 +134,16 @@ def _ba(W: np.ndarray, cost: np.ndarray, budget: float, gain: np.ndarray | float
     takes the least s >= 0 that keeps it within budget; that maximises the
     update's surrogate over the feasible pmfs (Csiszar-Tusnady), so every
     iterate is feasible and the objective never falls: the correctness
-    certificate, checked per update (RuntimeError).  A budget at the cheapest
-    cost starts on the cheapest symbols alone with no budget.  The run stops
-    once Blahut's dual bound max_x(D_x + gain_x - s*cost_x) + s*budget over
-    the symbols it started on (D_x = 0 for an underflowed input) is within
-    tol bits, or after BA_MAX_ITER updates.  Returns (r, I(r) in bits, the
-    tilt s of r or inf if pinned, the objective in bits after each update,
+    certificate, checked per update (RuntimeError).  The run starts on the
+    symbols that _budget_rule allows, under the budget it leaves (it raises
+    InfeasibleError below the cheapest cost), and stops once Blahut's dual
+    bound max_x(D_x + gain_x - s*cost_x) + s*budget over those symbols
+    (D_x = 0 for an underflowed input) is within tol bits, or after
+    BA_MAX_ITER updates.  Returns (r, I(r) in bits, the tilt s of r or inf
+    if the rule dropped a symbol, the objective in bits after each update,
     the bound minus the objective).
     """
-    cheap = cost <= cost.min() + 1e-12
-    pinned = budget <= cost.min() + 1e-12
-    allowed, budget = (cheap, np.inf) if pinned else (np.ones(cost.size, dtype=bool), budget)
+    allowed, budget = _budget_rule(cost, budget)
     iterates, prev, s = [], -np.inf, 0.0
     log_w = np.where(allowed, 0.0, -np.inf)
     for _ in range(BA_MAX_ITER):
@@ -147,8 +160,7 @@ def _ba(W: np.ndarray, cost: np.ndarray, budget: float, gain: np.ndarray | float
             break
         prev = objective
         log_w = np.log(r, where=r > 0, out=np.full(r.size, -np.inf)) + d + gain
-    return (r, info / LN2, np.inf if pinned and not cheap.all() else s, iterates,
-            max(float(gap), 0.0))
+    return r, info / LN2, s if allowed.all() else np.inf, iterates, max(float(gap), 0.0)
 
 
 def dm_capacity_with_cost(
@@ -180,12 +192,6 @@ def _capacity(ch: DmChannel, c: CostFn | None, budget: float | None, tol: float)
         budget_eff = float(budget)
         if np.isnan(budget_eff):
             raise ValueError("cost budget is NaN")
-
-    min_cost = float(cost.min())
-    if budget_eff < min_cost - 1e-12:
-        raise InfeasibleError(
-            f"budget {budget_eff} is below the cheapest symbol cost {min_cost}"
-        )
 
     r, bits, s, iterates, gap = _ba(W, cost, budget_eff, tol=tol)
     return CapacityResult(bits, Pmf(np.maximum(r, 0.0)), float(r @ cost), s, gap, iterates)

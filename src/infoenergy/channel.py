@@ -69,7 +69,7 @@ class Pmf:
             raise ValueError("pmf entries must be finite and nonnegative")
         total = arr.sum()
         if abs(total - 1.0) > PMF_TOL:
-            raise ValueError(f"pmf entries sum to {total!r}, not 1")
+            raise ValueError(f"pmf entries sum to {float(total)!r}, not 1")
         arr /= total
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -158,6 +158,7 @@ class DmChannel:
         if bad.size:
             raise ValueError(
                 f"transition row {bad[0]} has an entry that is not finite and nonnegative")
+        rows = np.where(rows < np.finfo(float).tiny, 0.0, rows)  # flush subnormals
         sums = rows.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > PMF_TOL)
         if bad.size:

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import BA_TOL_BITS, LN2, _ba, _capacity, awgn_capacity
+from .capacity import (BA_TOL_BITS, BUDGET_TOL, LN2, _ba, _budget_rule, _capacity,
+                       awgn_capacity)
 from .channel import (AwgnSpec, CostFn, DmChannel, EnergyFn, InfeasibleError,
                       Pmf)
 from .mac_region import _cost_polytope_vertices, simplex_grid
 from .metrics import entropy_bits
 
-FEAS_TOL = 1e-9
+FEAS_TOL = 1e-9  # the search stops once p_mu harvests this close to the most it can
 _MU_STEPS = 200  # multiplier evaluations: doublings plus bracket steps
 _SOLVE_TOL_BITS = BA_TOL_BITS / 4  # each solve's stop, so the caps close within BA_TOL_BITS
 
@@ -96,9 +97,6 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     """
     W1 = prob.hop1.transition
     c1 = prob.c1.values
-    if c1.min() > prob.p1_budget + FEAS_TOL:
-        raise InfeasibleError(
-            f"budget {prob.p1_budget} is below the cheapest hop-1 symbol cost {c1.min()}")
     beta = W1 @ prob.b.values  # mean harvested energy per input symbol
     shifted = LN2 * (beta - beta.max())  # <= 0: a large mu cannot swamp I
 
@@ -144,11 +142,9 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
 
 
 def _affordable(grid: np.ndarray, cost: np.ndarray, budget: float) -> np.ndarray:
-    """Gridded pmfs within budget as capacity._ba reads it: pinned to the
-    symbols within 1e-12 of the cheapest cost if the budget is, else E[cost] <= budget."""
-    if budget <= cost.min() + 1e-12:
-        return (grid[:, cost > cost.min() + 1e-12] == 0).all(axis=1)
-    return grid @ cost <= budget
+    """Mask of the gridded pmfs that capacity._budget_rule admits under budget."""
+    allowed, budget = _budget_rule(cost, budget)
+    return (grid[:, ~allowed] == 0).all(axis=1) & (grid @ cost <= budget)
 
 
 def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:
@@ -165,8 +161,6 @@ def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:
         raise ValueError("oracle restricted to hop alphabets of size <= 4")
     if steps > 21:
         raise ValueError("oracle restricted to steps <= 21")
-    if prob.c1.values.min() > prob.p1_budget + FEAS_TOL:
-        raise InfeasibleError("no gridded input satisfies the hop-1 cost budget")
 
     W1 = prob.hop1.transition
     g1 = simplex_grid(n1, steps)
@@ -185,11 +179,11 @@ def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:
     order = np.argsort(ec2, kind="stable")
     best_i2_upto = np.maximum.accumulate(i2[order])
 
-    # For each p1, the richest affordable p2 is a prefix maximum; a budget
-    # within 1e-12 of the cheapest cost is pinned to the cheapest symbols.
+    # For each p1, the richest affordable p2 is a prefix maximum (0 bits if
+    # none is); a budget within BUDGET_TOL of the cheapest cost is pinned.
     pos = np.searchsorted(ec2[order], budgets, side="right") - 1
-    best_i2 = np.where(pos >= 0, best_i2_upto[np.maximum(pos, 0)], -np.inf)
-    best_i2[np.abs(budgets - c2.min()) <= 1e-12] = i2[_affordable(g2, c2, c2.min())].max()
+    best_i2 = np.where(pos >= 0, best_i2_upto[np.maximum(pos, 0)], 0.0)
+    best_i2[np.abs(budgets - c2.min()) <= BUDGET_TOL] = i2[_affordable(g2, c2, c2.min())].max()
     return float(np.minimum(i1, best_i2).max())
 
 
@@ -229,8 +223,7 @@ def mhc_example_capacity(p1_budget: float, p2_budget: float, n0: float):
         raise ValueError("noise variance must be positive and finite")
     if not (np.isfinite(p1_budget) and 0 <= p2_budget < np.inf):
         raise ValueError("budgets must be finite and P2 nonnegative")
-    if p1_budget < 1.0 - 1e-12:
-        raise InfeasibleError("hop-1 budget below the minimum mean cost 6p+1 >= 1")
+    _budget_rule(np.square(EXAMPLE_LEVELS), p1_budget)  # InfeasibleError below 6p+1 >= 1
     p_max = min(0.5, max(float(p1_budget) - 1.0, 0.0) / 6.0)
 
     def terms(ps):

@@ -166,6 +166,18 @@ class TestDmCapacityWithCost:
         assert res.expected_cost <= 0.5 + 1e-9
         assert np.isfinite(res.iterates).all()
 
+    @pytest.mark.parametrize("W, bits", [([[0, 0, 1], [1, 5e-324, 0]], 1.0),
+                                         ([[0, 0, 1], [0, 5e-324, 1]], 0.0)])
+    def test_subnormal_transition_entries(self, W, bits):
+        # The channel sets the 5e-324 entry to 0: the product of a mass of
+        # 0.5 and it underflows, so its divergence would overflow.
+        ch = ie.DmChannel.point_to_point(
+            ie.Alphabet([0.0, 1.0]), ie.Alphabet([0.0, 1.0, 2.0]), W)
+        assert ch.transition[1, 1] == 0.0
+        res = ie.dm_capacity_with_cost(ch, ie.CostFn([0.0, 0.0]), 0.0)
+        assert res.capacity_bits == pytest.approx(bits, abs=1e-12)
+        assert res.gap_bits <= BA_TOL_BITS
+
     def test_sparse_channel_fuzz_never_raises(self):
         """Exclusive outputs and budgets just above the cheapest cost need
         large multipliers, which drive input masses below the float range,

@@ -25,6 +25,18 @@ class TestConstructors:
             ie.Pmf([0.6, 0.6])
         with pytest.raises(ValueError):
             ie.Pmf([1.2, -0.2])
+        with pytest.raises(ValueError, match=r"sum to 0\.5, not 1"):
+            ie.Pmf(np.array([0.5, 0.0]))
+
+    def test_channel_flushes_subnormal_entries(self):
+        W = ie.DmChannel.point_to_point(
+            ie.Alphabet([0.0, 1.0]), ie.Alphabet([0.0, 1.0, 2.0]),
+            [[0.0, 0.0, 1.0], [1.0, 5e-324, 0.0]]).transition
+        np.testing.assert_array_equal(W, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        tiny = np.finfo(float).tiny
+        row = ie.DmChannel.point_to_point(
+            ie.Alphabet([0.0]), ie.Alphabet([0.0, 1.0]), [[1.0 - tiny, tiny]]).transition[0]
+        assert row[1] == tiny
 
     def test_channel_rejects_bad_rows(self):
         with pytest.raises(ValueError):

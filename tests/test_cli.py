@@ -164,6 +164,29 @@ class TestMhcCommand:
         doc = json.loads(out.read_text())
         assert 0.0 < doc["capacity_bits"] <= 1.0 - binary_entropy(0.1) + 1e-9
 
+    @pytest.mark.parametrize("transition", [[[0, 0, 1], [1, 5e-324, 0]],
+                                            [[0, 0, 1], [0, 5e-324, 1]]])
+    def test_subnormal_transition_entries(self, tmp_path, transition):
+        hop1 = tmp_path / "hop1.json"
+        hop1.write_text(json.dumps({
+            "input_alphabets": [[0.0, 1.0]], "output_alphabet": [0.0, 1.0, 2.0],
+            "transition": transition, "cost": [[0.0, 0.0]], "energy": [0.0, 1.0, 2.0]}))
+        hop2 = write_bsc_file(tmp_path / "hop2.json", crossover=0.11)
+        out = tmp_path / "mhc.json"
+        assert run(["mhc", "--channel", str(hop1), "--channel", hop2,
+                    "--P1", "0", "--P2", "1", "--out", str(out)]) == 0
+        assert 0.0 <= json.loads(out.read_text())["capacity_bits"] <= 1.0
+
+    @pytest.mark.parametrize("p1, code", [("0.9999999995", 3), ("0.999999999998", 3),
+                                          ("0.9999999999995", 0)])
+    def test_hop1_budget_under_the_cheapest_cost(self, tmp_path, capsys, p1, code):
+        # A budget more than 1e-12 under the cheapest cost is infeasible.
+        hop1 = write_bsc_file(tmp_path / "hop1.json", cost=(1.0, 2.0))
+        hop2 = write_bsc_file(tmp_path / "hop2.json")
+        assert run(["mhc", "--channel", hop1, "--channel", hop2, "--P1", p1,
+                    "--P2", "1", "--out", str(tmp_path / "mhc.json")]) == code
+        assert ("below the cheapest symbol cost" in capsys.readouterr().err) == (code == 3)
+
     def test_single_channel_invalid(self, tmp_path):
         hop1 = write_bsc_file(tmp_path / "hop1.json")
         assert run(["mhc", "--channel", hop1]) == 2

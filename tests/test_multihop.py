@@ -123,6 +123,27 @@ class TestMhcCapacity:
         with pytest.raises(ie.InfeasibleError):
             ie.mhc_capacity(prob)
 
+    @pytest.mark.parametrize("p1, feasible", [(1.0 - 5e-10, False), (1.0 - 2e-12, False),
+                                              (1.0 - 5e-13, True)])
+    def test_one_budget_rule_for_solver_search_and_oracle(self, p1, feasible):
+        """The capacity solver, the relay search and the cut-set oracle read a
+        hop-1 budget alike: infeasible more than 1e-12 below the cheapest cost,
+        pinned to the cheapest symbol within it."""
+        hop1 = ie.DmChannel.point_to_point(ie.Alphabet([0.0, 1.0]), ie.Alphabet([0.0, 1.0]),
+                                           [[0.9, 0.1], [0.2, 0.8]])
+        c1 = ie.CostFn([1.0, 2.0])
+        prob = ie.MhcProblem(hop1, make_bsc(0.11), c1, ie.CostFn([0.0, 0.0]),
+                             ie.EnergyFn([0.0, 1.0]), p1, 0.5)
+        solves = (lambda: ie.dm_capacity_with_cost(hop1, c1, p1).capacity_bits,
+                  lambda: ie.mhc_capacity(prob).capacity_bits,
+                  lambda: ie.cutset_joint_oracle(prob, steps=11))
+        for solve in solves:
+            if feasible:
+                assert solve() == pytest.approx(0.0, abs=1e-12)
+            else:
+                with pytest.raises(ie.InfeasibleError, match="below the cheapest symbol cost"):
+                    solve()
+
     def test_rejects_non_finite_budgets(self):
         prob = make_dm_dm_instance("no-harvest")
         for p1, p2 in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
@@ -384,6 +405,14 @@ class TestCutsetOracle:
         prob = ie.MhcProblem(make_bsc(0.05), dead, ie.CostFn([0, 0]),
                              ie.CostFn([0, 0]), ie.EnergyFn([1, 1]), 1.0, 1.0)
         assert ie.cutset_joint_oracle(prob, steps=11) == pytest.approx(0.0, abs=1e-12)
+
+    def test_relay_budget_below_every_second_hop_cost(self):
+        # The relay can afford no hop-2 symbol, so it carries 0 bits.
+        hop = make_bsc(0.1)
+        prob = ie.MhcProblem(hop, hop, ie.CostFn([0, 0]), ie.CostFn([1, 2]),
+                             ie.EnergyFn([0, 0]), 0.0, 0.5)
+        assert ie.mhc_capacity(prob).capacity_bits == 0.0
+        assert ie.cutset_joint_oracle(prob, steps=11) == 0.0
 
     def test_size_guard(self):
         prob = make_dm_dm_instance("no-harvest")

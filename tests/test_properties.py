@@ -1,5 +1,5 @@
-"""Property tests of the Gaussian two-sender solver, the cost-constrained capacity
-and the harvesting-relay capacity."""
+"""Property tests of the Gaussian two-sender solver, the cost-constrained capacity,
+the harvesting-relay capacity and the two-sender energy simulator."""
 
 import itertools
 
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import infoenergy as ie
+from infoenergy.capacity import BUDGET_TOL, _budget_rule
 
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
 FEWER = settings(FEW, max_examples=10)  # each example solves two relay problems
@@ -40,15 +41,20 @@ def draw_channel(draw, n, m):
     """An n-input, m-output channel.
 
     Transition entries are integer weights over their row sum, none below
-    1/31: subnormal entries make the solver raise (see the FOUND lines of
-    CHANGES.md).
+    1/31.  Subnormal entries, which the channel sets to 0, are @examples of
+    test_capacity_with_cost_bounds.
     """
     rows = []
     for _ in range(n):
         weights = np.array(draw(st.lists(st.integers(0, 10), min_size=m, max_size=m)), float)
         rows.append(weights / weights.sum() if weights.sum() > 0 else np.full(m, 1.0 / m))
-    return ie.DmChannel.point_to_point(ie.Alphabet(np.arange(n, dtype=float)),
-                                       ie.Alphabet(np.arange(m, dtype=float)), np.array(rows))
+    return matrix_channel(np.array(rows))
+
+
+def matrix_channel(w):
+    """Point-to-point channel on the symbols 0, 1, ... from a transition matrix."""
+    return ie.DmChannel.point_to_point(ie.Alphabet(np.arange(float(len(w)))),
+                                       ie.Alphabet(np.arange(float(len(w[0])))), w)
 
 
 @st.composite
@@ -63,6 +69,8 @@ def costed_channels(draw):
 
 @FEW
 @given(costed_channels())
+@example((matrix_channel([[0, 0, 1], [1, 5e-324, 0]]), ie.CostFn([0, 0]), 0.0, 1.0))
+@example((matrix_channel([[0, 0, 1], [0, 5e-324, 1]]), ie.CostFn([0, 0]), 0.0, 1.0))
 def test_capacity_with_cost_bounds(case):
     # ROUNDING covers sums of p*log terms that should cancel: a one-output
     # channel reads about +-3e-16 bits.
@@ -72,6 +80,49 @@ def test_capacity_with_cost_bounds(case):
     assert -ROUNDING <= res.capacity_bits <= np.log2(min(n, m)) + ROUNDING
     more = ie.dm_capacity_with_cost(ch, cost, larger)
     assert more.capacity_bits >= res.capacity_bits - more.gap_bits - ROUNDING
+
+
+@st.composite
+def admitted_pmfs(draw):
+    """(channel, cost table, budget, an input pmf that the budget admits).
+
+    A third of the budgets lie within 5e-13 of the cheapest cost.  The pmf
+    puts integer weights on the symbols the budget rule allows, then mixes
+    in just enough of a cheapest symbol to meet the budget it leaves.
+    """
+    ch, cost, budget, _ = draw(costed_channels())
+    c = cost.values
+    if draw(st.integers(0, 2)) == 0:
+        budget = c.min() + draw(st.floats(-5e-13, 5e-13))
+    allowed, cap = _budget_rule(c, budget)
+    weights = np.array(draw(st.lists(st.integers(0, 10), min_size=c.size,
+                                     max_size=c.size)), float) * allowed
+    cheapest = np.eye(c.size)[np.argmin(c)]
+    p = weights / weights.sum() if weights.sum() > 0 else cheapest
+    if p @ c > cap:
+        t = (p @ c - cap) / (p @ c - c.min())
+        p = (1.0 - t) * p + t * cheapest
+    return ch, cost, budget, p
+
+
+@FEW
+@given(admitted_pmfs())
+def test_capacity_with_cost_at_least_any_admitted_pmf(case):
+    ch, cost, budget, p = case
+    res = ie.dm_capacity_with_cost(ch, cost, budget)
+    assert res.capacity_bits + res.gap_bits >= (
+        ie.mutual_information(ie.Pmf(p), ch) - ROUNDING)
+
+
+@FEW
+@given(admitted_pmfs(), st.randoms(use_true_random=False))
+def test_capacity_with_cost_invariant_under_relabelling(case, rand):
+    ch, cost, budget, _ = case
+    rows, cols = (rand.sample(range(k), k) for k in ch.transition.shape)
+    moved = ie.dm_capacity_with_cost(matrix_channel(ch.transition[rows][:, cols]),
+                                     ie.CostFn(cost.values[rows]), budget)
+    want = ie.dm_capacity_with_cost(ch, cost, budget).capacity_bits
+    assert moved.capacity_bits == pytest.approx(want, rel=0, abs=1e-12)
 
 
 @st.composite
@@ -94,21 +145,19 @@ def relay_problems(draw):
 
 def relay_problem(hop1, hop2, c1, c2, b, p1, p2):
     """MhcProblem on two discrete hops given as transition matrices and tables."""
-    hops = [ie.DmChannel.point_to_point(ie.Alphabet(np.arange(float(len(w)))),
-                                        ie.Alphabet(np.arange(float(len(w[0])))), w)
-            for w in (hop1, hop2)]
-    return ie.MhcProblem(*hops, ie.CostFn(c1), ie.CostFn(c2), ie.EnergyFn(b), p1, p2)
+    return ie.MhcProblem(matrix_channel(hop1), matrix_channel(hop2), ie.CostFn(c1),
+                         ie.CostFn(c2), ie.EnergyFn(b), p1, p2)
 
 
 def largest_harvest(prob):
     """max beta.p over hop-1 pmfs within budget: a symbol, or two mixed to spend it.
 
-    As in the solver, a budget within 1e-12 of the cheapest cost admits
+    As in the solver, a budget within BUDGET_TOL of the cheapest cost admits
     every symbol that is that close to the cheapest.
     """
     beta = prob.hop1.transition @ prob.b.values
     c = prob.c1.values
-    budget = max(prob.p1_budget, c.min() + 1e-12)
+    budget = max(prob.p1_budget, c.min() + BUDGET_TOL)
     best = beta[c <= budget].max()
     for i, j in itertools.product(np.flatnonzero(c <= budget), np.flatnonzero(c > budget)):
         t = (budget - c[i]) / (c[j] - c[i])  # the mass on the dear symbol j
@@ -177,3 +226,30 @@ def test_relay_capacity_nondecreasing_in_a_scaled_harvest(case, more):
                                            ie.EnergyFn((1.0 + more) * prob.b.values),
                                            prob.p1_budget, prob.p2_budget))
     assert larger.capacity_bits >= sol.capacity_bits - larger.gap_bits - ROUNDING
+
+
+@st.composite
+def mac_links(draw):
+    """(two-sender channel on 2-3 symbols per alphabet, energy table, codebook pair)."""
+    n1, n2, m = (draw(st.integers(2, 3)) for _ in range(3))
+    W = np.array([draw_channel(draw, n2, m).transition for _ in range(n1)])
+    symbols = [ie.Alphabet(np.arange(float(k))) for k in (n1, n2, m)]
+    ch = ie.DmChannel.mac(*symbols, W)
+    b = ie.EnergyFn(draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m)))
+    n = draw(st.integers(4, 16))
+    books = [ie.generate_codebook(ie.Pmf.uniform(k), n, draw(st.integers(0, 3)) / n,
+                                  alphabet=symbols[i], seed=draw(st.integers(0, 999)))
+             for i, k in enumerate((n1, n2))]
+    return ch, b, books
+
+
+@FEW
+@given(mac_links(), st.integers(0, 999))
+def test_simulated_mac_energy_within_five_standard_errors(link, seed):
+    # The exact mean block energy averages (W b)[x1, x2] over the message
+    # pairs and the positions, as the simulator draws each message uniformly.
+    ch, b, (cb1, cb2) = link
+    wb = ch.transition @ b.values
+    exact = wb[cb1.words[:, None, :], cb2.words[None, :, :]].mean()
+    rep = ie.simulate_mac_energy(cb1, cb2, ie.DmMacSampler(ch), b, 0.0, 0.0, 300, seed)
+    assert abs(rep.mean_bn - exact) <= 5.0 * rep.mean_bn_se + ROUNDING
