@@ -3,13 +3,15 @@
 The discrete solver is one Blahut-Arimoto run whose every update is tilted
 by exp(-s*c(X)) with the least multiplier s >= 0 that keeps it within budget,
 so each iterate is feasible, and stops on Blahut's dual bound (gap_bits).
-Every solver here and in multihop reads a cost budget by _budget_rule.
+Every solver here and in multihop, and mac_region's largest received energy,
+read a cost budget by _budget_rule, and its extreme pmfs by _budget_vertices.
 With a gain per symbol it also traces the relay's information-energy
 frontier.  The Gaussian case is handled in closed form only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -84,6 +86,20 @@ def _budget_rule(cost: np.ndarray, budget: float):
     if budget <= floor + BUDGET_TOL:
         return cost <= floor + BUDGET_TOL, np.inf
     return np.ones(cost.size, dtype=bool), budget
+
+
+def _budget_vertices(cost: np.ndarray, budget: float) -> np.ndarray:
+    """Extreme points, one a row, of the pmfs that _budget_rule admits: each
+    allowed symbol within the budget, then each two-symbol mixture meeting it."""
+    allowed, budget = _budget_rule(cost, budget)
+    eye = np.eye(cost.size)
+    verts = list(eye[allowed & (cost <= budget)])
+    for i, j in itertools.combinations(range(cost.size), 2):
+        lo, hi = (i, j) if cost[i] < cost[j] else (j, i)
+        if cost[lo] < budget < cost[hi]:
+            a = (cost[hi] - budget) / (cost[hi] - cost[lo])
+            verts.append(a * eye[lo] + (1.0 - a) * eye[hi])
+    return np.array(verts)
 
 
 def _tilt(log_w: np.ndarray, cost: np.ndarray, budget: float, s: float):

@@ -54,14 +54,17 @@ def _finite(text: str) -> float:
     return value
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _at_least(low: int):
+    """An argparse type: integers of at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _table(header: str, rows) -> str:
@@ -96,9 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q-size", type=int, default=4, choices=range(1, 6),
                            help="time-sharing alphabet size")
         if "sim" in names:
-            p.add_argument("--n", type=_positive, default=1000, help="blocklength")
-            p.add_argument("--trials", type=_positive, default=200)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--n", type=_at_least(1), default=1000, help="blocklength")
+            p.add_argument("--trials", type=_at_least(1), default=200)
+            p.add_argument("--seed", type=_at_least(0), default=0)
             p.add_argument("--eps", type=_finite, default=None,
                            help="energy slack (default 0.05*B)")
         if "channel" in names:

@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._workers import fork_map
+from .capacity import _budget_vertices
 from .channel import CostFn, DmChannel, EnergyFn, InfeasibleError, Pmf
 from .metrics import (TimeSharingPolicy, _vary_first_input, entropy_bits,
                       mac_mutual_informations)
@@ -174,44 +175,18 @@ def _steps_for(dim: int, budget: int) -> int:
         steps = nxt
 
 
-def _cost_polytope_vertices(cost: np.ndarray, budget: float) -> np.ndarray:
-    """Extreme points of {p on the simplex : p.cost <= budget}.
-
-    These are the single symbols within budget plus two-symbol mixtures that
-    meet the budget with equality.
-    """
-    n = cost.size
-    verts = []
-    for i in range(n):
-        if cost[i] <= budget + 1e-12:
-            v = np.zeros(n)
-            v[i] = 1.0
-            verts.append(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lo, hi = (i, j) if cost[i] < cost[j] else (j, i)
-            if cost[lo] < budget < cost[hi]:
-                a = (cost[hi] - budget) / (cost[hi] - cost[lo])
-                v = np.zeros(n)
-                v[lo] = a
-                v[hi] = 1.0 - a
-                verts.append(v)
-    return np.array(verts) if verts else np.empty((0, n))
-
-
 def max_received_energy(prob: MacProblem):
-    """Exact maximum of E[b(Y)] over cost-feasible product input pmfs.
+    """Exact maximum of E[b(Y)] over the product input pmfs the budgets admit.
 
     The objective is bilinear in (p1, p2), so the maximum is attained at a
     pair of extreme points of the two cost polytopes, which are enumerated
-    exhaustively.  Returns (value, p1, p2).
+    exhaustively.  Returns (value, p1, p2); raises InfeasibleError when a
+    budget is below its sender's cheapest symbol cost.
     """
     W = prob.channel.transition
     m = np.einsum("ijy,y->ij", W, prob.b.values)
-    v1 = _cost_polytope_vertices(prob.c1.values, prob.p1_budget)
-    v2 = _cost_polytope_vertices(prob.c2.values, prob.p2_budget)
-    if v1.shape[0] == 0 or v2.shape[0] == 0:
-        raise InfeasibleError("cost budgets exclude every input distribution")
+    v1 = _budget_vertices(prob.c1.values, prob.p1_budget)
+    v2 = _budget_vertices(prob.c2.values, prob.p2_budget)
     vals = v1 @ m @ v2.T
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
     return float(vals[i, j]), v1[i], v2[j]

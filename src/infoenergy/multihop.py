@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (BA_TOL_BITS, BUDGET_TOL, LN2, _ba, _budget_rule, _capacity,
-                       awgn_capacity)
+from .capacity import (BA_TOL_BITS, BUDGET_TOL, LN2, _ba, _budget_rule, _budget_vertices,
+                       _capacity, awgn_capacity)
 from .channel import (AwgnSpec, CostFn, DmChannel, EnergyFn, InfeasibleError,
                       Pmf)
-from .mac_region import _cost_polytope_vertices, simplex_grid
+from .mac_region import simplex_grid
 from .metrics import entropy_bits
 
 FEAS_TOL = 1e-9  # the search stops once p_mu harvests this close to the most it can
@@ -91,7 +91,9 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     C2 solve's), so I + gap + gap2 at lo and C2 + gap + gap2 at hi cap the
     optimum, as do I(p_0) + gap and C2 + gap2 at the largest harvest.  Solves
     stop within BA_TOL_BITS/4, and the search once the least cap is within
-    BA_TOL_BITS of the best rate or p_mu harvests all it can with f > 0.
+    BA_TOL_BITS of the best rate, the best rate reaches the least value behind
+    a cap, that cap less the gaps it counts (then only those gaps remain), or
+    p_mu harvests all it can with f > 0.
     gap_bits, that cap minus the rate, exceeds BA_TOL_BITS only if a solve
     hit BA_MAX_ITER or the bracket ran out of floats.
     """
@@ -110,14 +112,14 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     i1, c2, gap, gap2, best = frontier(0.0)
     upper_i, upper_c = i1 + gap, np.inf  # the hop-1 and hop-2 caps
     if i1 > c2:  # hop 2 binds at mu = 0 (else p_0 is optimal): buy harvest
-        e_max = (_cost_polytope_vertices(c1, max(prob.p1_budget, c1.min())) @ beta).max()
+        e_max = (_budget_vertices(c1, prob.p1_budget) @ beta).max()
         top = max(float(e_max) + prob.p2_budget, best[2])
         if top != best[2]:
             c2, _, gap2 = _second_hop_capacity(prob, top)
-        upper_c = c2 + gap2
+        upper_c, least = c2 + gap2, min(i1, c2)  # least: the least cap less its gaps
         lo, hi, f_lo, f_hi, last, harvest = 0.0, None, i1 - c2, None, None, best[2]
         for _ in range(_MU_STEPS):  # no larger mu lowers upper_c once p_mu harvests e_max
-            if (min(upper_i, upper_c) - best[0] < BA_TOL_BITS
+            if (min(upper_i, upper_c) - best[0] < BA_TOL_BITS or best[0] >= least
                     or hi is None and harvest >= top - FEAS_TOL):
                 break
             mu = (2.0 * lo or 1.0) if hi is None else (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
@@ -128,6 +130,7 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
             i1, c2, gap, gap2, point = frontier(mu)
             best, harvest = max(best, point, key=lambda b: b[0]), point[2]
             lower = i1 > c2
+            least = min(least, i1 if lower else c2)
             if lower:
                 lo, f_lo, upper_i = mu, i1 - c2, min(upper_i, i1 + gap + gap2)
             else:

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,9 @@ def adder_problem():
 @pytest.fixture
 def four_levels():
     return ie.Alphabet([-2.0, -1.0, 1.0, 2.0])
+
+
+def report_bytes(report: ie.SimReport) -> list:
+    """Type and bytes of every field, so NaNs and -0.0 compare exactly."""
+    return [(type(getattr(report, f.name)), np.asarray(getattr(report, f.name)).tobytes())
+            for f in dataclasses.fields(ie.SimReport)]

@@ -224,6 +224,14 @@ class TestSimulateCommands:
         assert "--trials" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate-mac", "simulate-mhc"])
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "sim.csv"
+        rc = run([command, "--seed", "-1", "--n", "16", "--trials", "3", "--out", str(out)])
+        assert rc == 2
+        assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_mac_gaussian(self, tmp_path):
         out = tmp_path / "sim.csv"
         rc = run(["simulate-mac", "--P", "1", "--n", "500", "--trials", "50",

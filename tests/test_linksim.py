@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import infoenergy as ie
-from conftest import make_binary_adder
+from conftest import make_binary_adder, report_bytes
 
 
 def reports_equal(a: ie.SimReport, b: ie.SimReport) -> bool:
@@ -155,12 +155,6 @@ def per_trial_mhc_harvest(cb1, sampler, relay, b, p2_budget, trials, seed):
     se = float(harvested.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return ie.SimReport(cb1.n, trials, seed, float(harvested.mean()), float("nan"),
                         float("nan"), violations / trials, se)
-
-
-def report_bytes(report: ie.SimReport) -> list:
-    """Type and bytes of every field, so NaNs and -0.0 compare exactly."""
-    return [(type(getattr(report, f.name)), np.asarray(getattr(report, f.name)).tobytes())
-            for f in dataclasses.fields(ie.SimReport)]
 
 
 def block_scores(cb1, cb2, sampler, trials, seed):

@@ -62,6 +62,33 @@ class TestMaxReceivedEnergy:
         assert val == pytest.approx(1.0)
         np.testing.assert_allclose(sorted(p1), [0.5, 0.5])
 
+    @staticmethod
+    def costly_adder(p1_budget):
+        """The adder with c1 = (1, 2), c2 = 0 and b(y) = y."""
+        prob = make_adder_problem()
+        return ie.MacProblem(prob.channel, ie.CostFn([1.0, 2.0]), prob.c2, prob.b,
+                             p1_budget, 0.0)
+
+    def test_budget_read_by_the_capacity_rule(self):
+        """Within 1e-12 above the cheapest cost the budget pins sender 1 to
+        its cheap symbol, as dm_capacity_with_cost does; above that it buys
+        mass on the dear one."""
+        at_floor = ie.max_received_energy(self.costly_adder(1.0))
+        pinned = ie.max_received_energy(self.costly_adder(1.0 + 5e-13))
+        assert pinned[0] == at_floor[0] == 1.0
+        assert np.array_equal(pinned[1], [1.0, 0.0])
+        val, p1, _ = ie.max_received_energy(self.costly_adder(1.0 + 1e-9))
+        assert val == pytest.approx(1.000000001, rel=0, abs=1e-15)
+        assert p1 @ [1.0, 2.0] == pytest.approx(1.0 + 1e-9, rel=0, abs=1e-15)
+
+    def test_budget_below_the_cheapest_cost(self):
+        prob = self.costly_adder(1.0 - 5e-10)
+        with pytest.raises(ie.InfeasibleError, match="below the cheapest symbol cost"):
+            ie.max_received_energy(prob)
+        res = ie.mac_boundary_point(prob, 1.0, 1.0)
+        assert not res.feasible
+        assert res.reason == "budget 0.9999999995 is below the cheapest symbol cost 1.0"
+
     def test_matches_dense_grid(self):
         for seed in (1, 2, 3):
             prob = make_random_mac_instance(seed)

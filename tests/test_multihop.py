@@ -7,6 +7,7 @@ import pytest
 
 import infoenergy as ie
 from conftest import make_bsc
+from infoenergy import capacity
 from infoenergy.capacity import BA_TOL_BITS
 from infoenergy.metrics import entropy_bits
 
@@ -83,6 +84,16 @@ def trickle_pair() -> ie.MhcProblem:
     hop2 = ie.DmChannel.point_to_point(levels, levels, 0.9 * eye + 1 / 30)
     return ie.MhcProblem(hop1, hop2, ie.CostFn([0.0, 0.5, 1.0]), ie.CostFn([0.0, 1.0, 2.0]),
                          ie.EnergyFn([0.0, 0.2, 0.5]), 0.8, 0.1)
+
+
+def stalled_relay(hop1, c1, c2, b, p1) -> ie.MhcProblem:
+    """hop1 in front of a hop 2 whose Blahut-Arimoto run stalls at
+    BA_MAX_ITER with a 1.1e-6 gap (C = 0.46978135 with no cost), P2 = 0."""
+    levels = ie.Alphabet(np.arange(3.0))
+    W2 = np.array([[1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0], [0.0, 1e-7, 1 - 1e-7]])
+    return ie.MhcProblem(hop1, ie.DmChannel.point_to_point(levels, levels, W2),
+                         ie.CostFn(c1), None if c2 is None else ie.CostFn(c2),
+                         ie.EnergyFn(b), p1, 0.0)
 
 
 DM_DM_KINDS = ["no-harvest", "constant-harvest", "first-hop-bottleneck",
@@ -290,22 +301,50 @@ class TestMhcCapacity:
             assert ie.mhc_capacity(prob).gap_bits <= BA_TOL_BITS
 
     @pytest.mark.parametrize("n, b, solves", [(2, [0.0, 0.0], (1, 1)),
-                                              (3, [0.0, 64.0, 64.0], (2, 3))])
+                                              (3, [0.0, 64.0, 64.0], (1, 2))])
     def test_stalled_second_hop_ends_the_search(self, monkeypatch, n, b, solves):
         """Blahut-Arimoto stops this hop 2 at BA_MAX_ITER with a 1.1e-6 gap,
         so no C2 cap closes, and hop 2 binds at every harvest.  With no
-        harvest to buy the search ends at once; otherwise once p_mu harvests
-        all it can, here at mu = 1.  Without that stop mu doubled 200 times,
-        each time with a 20,000-update hop-2 solve."""
-        levels = ie.Alphabet(np.arange(3.0))
-        W2 = np.array([[1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0], [0.0, 1e-7, 1 - 1e-7]])
-        prob = ie.MhcProblem(ie.DmChannel.noiseless(ie.Alphabet(np.arange(float(n)))),
-                             ie.DmChannel.point_to_point(levels, levels, W2),
-                             ie.CostFn(np.zeros(n)), None, ie.EnergyFn(b), 1.0, 0.0)
+        harvest to buy the search ends at once.  Otherwise hop 2 costs
+        nothing, so C2 at the largest harvest is the rate p_0 already
+        reaches and only that solve's gap is left; the harvest stop alone
+        took a second hop-1 solve, at mu = 1.  With neither stop mu doubled
+        200 times, each time with a 20,000-update hop-2 solve."""
+        prob = stalled_relay(ie.DmChannel.noiseless(ie.Alphabet(np.arange(float(n)))),
+                             np.zeros(n), None, b, 1.0)
         counts = count_solves(monkeypatch)
         sol = ie.mhc_capacity(prob)
         assert (counts["hop1"], counts["hop2"]) == solves
         assert sol.capacity_bits == pytest.approx(0.46978135, abs=1e-8)
+        assert 10 * BA_TOL_BITS < sol.gap_bits < 2e-6
+
+    def test_stalled_second_hop_stops_at_the_value_behind_its_cap(self, monkeypatch):
+        """A binary noiseless hop 1 harvesting b = (0, 1) in front of the
+        stalled hop 2.  Its caps stay 1.1e-6 above the rate, so the Illinois
+        steps used to run until lo and hi met in floats: 12 hop-1 and 13
+        hop-2 solves for the rate and gap_bits of the first 1 and 2."""
+        monkeypatch.setattr(capacity, "BA_MAX_ITER", 2000)  # stalls as at 20,000
+        prob = stalled_relay(ie.DmChannel.noiseless(ie.Alphabet([0.0, 1.0])),
+                             [0.0, 0.0], None, [0.0, 1.0], 1.0)
+        counts = count_solves(monkeypatch)
+        sol = ie.mhc_capacity(prob)
+        assert (counts["hop1"], counts["hop2"]) == (1, 2)
+        assert sol.capacity_bits == pytest.approx(0.46978135, abs=1e-8)
+        assert 10 * BA_TOL_BITS < sol.gap_bits < 2e-6
+
+    def test_stalled_second_hop_stops_at_a_mixed_largest_harvest(self, monkeypatch):
+        """The largest harvest within c1 = (0, 1, 4), P1 = 1.5 mixes symbols
+        0 and 2 (0.375*64 = 24).  Hop 2 now costs (0, 100, 100), so C2 rises
+        with the harvest and the rate reaches no cap's value; the doubling
+        ends once p_mu harvests all it can.  Without that stop mu doubled
+        48 times and Blahut-Arimoto raised "objective decreased"."""
+        monkeypatch.setattr(capacity, "BA_MAX_ITER", 2000)  # stalls as at 20,000
+        prob = stalled_relay(ie.DmChannel.noiseless(ie.Alphabet(np.arange(3.0))),
+                             [0.0, 1.0, 4.0], [0.0, 100.0, 100.0], [0.0, 1.0, 64.0], 1.5)
+        counts = count_solves(monkeypatch)
+        sol = ie.mhc_capacity(prob)
+        assert counts["hop2"] <= 5
+        assert sol.harvested_budget == pytest.approx(24.0, abs=1e-9)
         assert 10 * BA_TOL_BITS < sol.gap_bits < 2e-6
 
     def test_at_least_the_cutset_grid_on_random_pairs(self, monkeypatch):

@@ -2,12 +2,15 @@
 the harvesting-relay capacity and the two-sender energy simulator."""
 
 import itertools
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import infoenergy as ie
+from conftest import report_bytes
 from infoenergy.capacity import BUDGET_TOL, _budget_rule
 
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
@@ -229,6 +232,47 @@ def test_relay_capacity_nondecreasing_in_a_scaled_harvest(case, more):
 
 
 @st.composite
+def costed_macs(draw):
+    """A two-sender problem on 1-3 symbols per alphabet, costs and energies in [0, 2].
+
+    Each budget lies between the sender's cheapest cost and one above its
+    dearest, or, for a third of them, within 5e-13 of the cheapest cost.
+    """
+    n1, n2, m = (draw(st.integers(1, 3)) for _ in range(3))
+    W = np.array([draw_channel(draw, n2, m).transition for _ in range(n1)])
+    ch = ie.DmChannel.mac(*(ie.Alphabet(np.arange(float(k))) for k in (n1, n2, m)), W)
+    costs, budgets = [], []
+    for n in (n1, n2):
+        c = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+        budget = c.min() + draw(st.floats(0.0, 1.0)) * (c.max() - c.min() + 1.0)
+        if draw(st.integers(0, 2)) == 0:
+            budget = max(c.min() + draw(st.floats(-5e-13, 5e-13)), 0.0)
+        costs.append(ie.CostFn(c))
+        budgets.append(budget)
+    b = ie.EnergyFn(draw(st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m)))
+    return ie.MacProblem(ch, *costs, b, *budgets)
+
+
+@FEW
+@given(costed_macs())
+def test_max_received_energy_over_the_admitted_pmfs(prob):
+    # The pair lies in what the budget rule admits, and no admitted pair of an
+    # 11-step grid receives more energy.
+    val, p1, p2 = ie.max_received_energy(prob)
+    m = prob.channel.transition @ prob.b.values
+    assert val == pytest.approx(p1 @ m @ p2, rel=0, abs=ROUNDING)
+    grids = []
+    for p, cost, budget in ((p1, prob.c1.values, prob.p1_budget),
+                            (p2, prob.c2.values, prob.p2_budget)):
+        allowed, cap = _budget_rule(cost, budget)
+        assert (p[~allowed] == 0).all()
+        assert p @ cost <= cap + ROUNDING
+        grid = ie.simplex_grid(cost.size, 11)
+        grids.append(grid[(grid[:, ~allowed] == 0).all(axis=1) & (grid @ cost <= cap)])
+    assert val >= (grids[0] @ m @ grids[1].T).max() - ROUNDING
+
+
+@st.composite
 def mac_links(draw):
     """(two-sender channel on 2-3 symbols per alphabet, energy table, codebook pair)."""
     n1, n2, m = (draw(st.integers(2, 3)) for _ in range(3))
@@ -253,3 +297,22 @@ def test_simulated_mac_energy_within_five_standard_errors(link, seed):
     exact = wb[cb1.words[:, None, :], cb2.words[None, :, :]].mean()
     rep = ie.simulate_mac_energy(cb1, cb2, ie.DmMacSampler(ch), b, 0.0, 0.0, 300, seed)
     assert abs(rep.mean_bn - exact) <= 5.0 * rep.mean_bn_se + ROUNDING
+
+
+@FEWER
+@given(mac_links(), st.integers(1, 12), st.integers(0, 999))
+def test_simulated_mac_energy_same_on_one_and_two_cpus(link, trials, seed):
+    # Blocks of 3 trials, so more than 3 trials fork a second worker on 2 CPUs.
+    ch, b, (cb1, cb2) = link
+    reports, forks = [], []
+    for cpus in ({0}, {0, 1}):
+        with mock.patch.object(os, "sched_getaffinity", return_value=cpus), \
+                mock.patch.object(ie.linksim, "_BLOCK_VALUES", 3 * cb1.words.shape[1]), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            rep = ie.simulate_mac_energy(cb1, cb2, ie.DmMacSampler(ch), b, 0.5, 0.1, trials, seed)
+        reports.append(report_bytes(rep))
+        forks.append(fork.call_count)
+    assert reports[0] == reports[1]
+    assert forks == [0, int(trials > 3)]
+    with pytest.raises(ChildProcessError):  # no child left
+        os.waitpid(-1, os.WNOHANG)
