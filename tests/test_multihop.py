@@ -301,34 +301,24 @@ class TestMhcCapacity:
             assert ie.mhc_capacity(prob).gap_bits <= BA_TOL_BITS
 
     @pytest.mark.parametrize("n, b, solves", [(2, [0.0, 0.0], (1, 1)),
-                                              (3, [0.0, 64.0, 64.0], (1, 2))])
+                                              (3, [0.0, 64.0, 64.0], (1, 2)),
+                                              (2, [0.0, 1.0], (1, 2))])
     def test_stalled_second_hop_ends_the_search(self, monkeypatch, n, b, solves):
         """Blahut-Arimoto stops this hop 2 at BA_MAX_ITER with a 1.1e-6 gap,
         so no C2 cap closes, and hop 2 binds at every harvest.  With no
         harvest to buy the search ends at once.  Otherwise hop 2 costs
         nothing, so C2 at the largest harvest is the rate p_0 already
-        reaches and only that solve's gap is left; the harvest stop alone
-        took a second hop-1 solve, at mu = 1.  With neither stop mu doubled
-        200 times, each time with a 20,000-update hop-2 solve."""
+        reaches and only that solve's gap is left.  The search stops there:
+        on b = (0, 1) the Illinois steps used to run until lo and hi met in
+        floats, 12 hop-1 and 13 hop-2 solves for the rate and gap_bits of
+        the first 1 and 2.  With neither the value stop nor the harvest stop
+        mu doubled 200 times, each time with a 20,000-update hop-2 solve."""
+        monkeypatch.setattr(capacity, "BA_MAX_ITER", 2000)  # stalls as at 20,000
         prob = stalled_relay(ie.DmChannel.noiseless(ie.Alphabet(np.arange(float(n)))),
                              np.zeros(n), None, b, 1.0)
         counts = count_solves(monkeypatch)
         sol = ie.mhc_capacity(prob)
         assert (counts["hop1"], counts["hop2"]) == solves
-        assert sol.capacity_bits == pytest.approx(0.46978135, abs=1e-8)
-        assert 10 * BA_TOL_BITS < sol.gap_bits < 2e-6
-
-    def test_stalled_second_hop_stops_at_the_value_behind_its_cap(self, monkeypatch):
-        """A binary noiseless hop 1 harvesting b = (0, 1) in front of the
-        stalled hop 2.  Its caps stay 1.1e-6 above the rate, so the Illinois
-        steps used to run until lo and hi met in floats: 12 hop-1 and 13
-        hop-2 solves for the rate and gap_bits of the first 1 and 2."""
-        monkeypatch.setattr(capacity, "BA_MAX_ITER", 2000)  # stalls as at 20,000
-        prob = stalled_relay(ie.DmChannel.noiseless(ie.Alphabet([0.0, 1.0])),
-                             [0.0, 0.0], None, [0.0, 1.0], 1.0)
-        counts = count_solves(monkeypatch)
-        sol = ie.mhc_capacity(prob)
-        assert (counts["hop1"], counts["hop2"]) == (1, 2)
         assert sol.capacity_bits == pytest.approx(0.46978135, abs=1e-8)
         assert 10 * BA_TOL_BITS < sol.gap_bits < 2e-6
 
