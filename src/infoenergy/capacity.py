@@ -5,8 +5,10 @@ by exp(-s*c(X)) with the least multiplier s >= 0 that keeps it within budget,
 so each iterate is feasible, and stops on Blahut's dual bound (gap_bits).
 Every solver here and in multihop, and mac_region's largest received energy,
 read a cost budget by _budget_rule, and its extreme pmfs by _budget_vertices.
-With a gain per symbol it also traces the relay's information-energy
-frontier.  The Gaussian case is handled in closed form only.
+Every budget, energy floor, largest harvest and relay spend in the package
+counts as met within BUDGET_TOL = 1e-12 (absolute).  With a gain per symbol
+it also traces the relay's information-energy frontier.  The Gaussian case is
+handled in closed form only.
 """
 
 from __future__ import annotations

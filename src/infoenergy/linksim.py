@@ -1,7 +1,7 @@
 """Monte Carlo verification of the operational coding definitions.
 
 Codebooks are drawn i.i.d. from a generation policy, with per-codeword cost
-screening by rejection so the blockwise budget holds exactly.  Each codebook
+screening by rejection so every word meets the blockwise budget.  Each codebook
 reads one random stream derived from its seed and each trial one derived from
 (seed, trial index), so reruns give bit-identical reports.  A trial draws
 its messages, then the channel output, then the relay's block.  All three
@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._workers import fork_map
+from .capacity import BUDGET_TOL
 from .channel import Alphabet, CostFn, DmChannel, EnergyFn, InfeasibleError, Pmf
 from .metrics import TimeSharingPolicy
 
-COST_SLACK = 1e-9
 MAX_REJECTIONS = 1000
 # At most this many codeword symbols per drawn or screened block, and pair scores
 # per decoded block.
@@ -182,7 +182,7 @@ def generate_codebook(policy, n: int, rate: float, *, alphabet: Alphabet | None 
     while done < messages:
         block = _draw_block(policy, rng, min(messages - done, rows), n, q_seq, input_index)
         if budget is not None:  # count the rejections before each accepted row
-            ok = np.flatnonzero(_block_cost(block, cost, alphabet) <= budget + COST_SLACK)
+            ok = np.flatnonzero(_block_cost(block, cost, alphabet) <= budget + BUDGET_TOL)
             runs = np.diff(ok, prepend=-1 - rejected, append=len(block)) - 1
             if runs.max() > MAX_REJECTIONS:
                 raise InfeasibleError(
@@ -193,7 +193,7 @@ def generate_codebook(policy, n: int, rate: float, *, alphabet: Alphabet | None 
         done += len(block)
     # Certificate: recheck the stored words, a block at a time to bound temporaries.
     for start in range(0, messages, rows) if budget is not None else ():
-        over = ~(_block_cost(words[start:start + rows], cost, alphabet) <= budget + COST_SLACK)
+        over = ~(_block_cost(words[start:start + rows], cost, alphabet) <= budget + BUDGET_TOL)
         if over.any():
             raise RuntimeError(f"codeword {start + np.argmax(over)}: cost screening failed")
     return Codebook(words, q_seq, alphabet)
@@ -407,7 +407,7 @@ def simulate_mhc_harvest(cb1: Codebook, sampler, relay, b, p2_budget: float,
         h = energy(y).sum(axis=1) / cb1.n
         spent = [np.square(relay.transmit(hk + p2_budget, cb1.n, rng)).sum() / cb1.n
                  for hk, rng in zip(h, rngs)]
-        return h, np.array(spent) > h + p2_budget + COST_SLACK
+        return h, np.array(spent) > h + p2_budget + BUDGET_TOL
 
     harvested, violations = _map_trials(sampler, xs, seed, trials, cb1.n, 2, score)
     se = float(harvested.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

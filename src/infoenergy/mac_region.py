@@ -25,12 +25,10 @@ from functools import lru_cache
 import numpy as np
 
 from ._workers import fork_map
-from .capacity import _budget_vertices
+from .capacity import BUDGET_TOL, _budget_vertices
 from .channel import CostFn, DmChannel, EnergyFn, InfeasibleError, Pmf
 from .metrics import (TimeSharingPolicy, _vary_first_input, entropy_bits,
                       mac_mutual_informations)
-
-FEAS_TOL = 1e-9
 
 # Search resolution of the coordinate-ascent policy solver.
 MAX_BLOCK_CANDIDATES = 3000
@@ -232,7 +230,7 @@ class _Instance:
     def score(self, stats: np.ndarray):
         """Best column index and its (feasible, value) score for a stat table."""
         viol = self.violation(stats)
-        feas = True if viol is None else viol <= FEAS_TOL
+        feas = True if viol is None else viol <= BUDGET_TOL
         if not np.any(feas):
             idx = int(np.argmin(viol))
             return idx, (0, -float(viol[idx]))
@@ -438,12 +436,12 @@ def _product_scan(inst: _Instance, mus, budget: int):
         rates = _corner_rates(stats[0], stats[1], stats[2], inst.w1, inst.w2)
         viol = inst.violation(stats)
         viol = np.zeros(rates.shape) if viol is None else viol
-        feas = viol <= FEAS_TOL
+        feas = viol <= BUDGET_TOL
         seed_idx = np.where(feas.any(axis=1),
                             np.argmax(np.where(feas, rates, -np.inf), axis=1),
                             np.argmin(viol, axis=1))
-        ok = ((stats[4] <= inst.prob.p1_budget + FEAS_TOL)
-              & (stats[5] <= inst.prob.p2_budget + FEAS_TOL))
+        ok = ((stats[4] <= inst.prob.p1_budget + BUDGET_TOL)
+              & (stats[5] <= inst.prob.p2_budget + BUDGET_TOL))
         picks = []
         for mu in mus:
             vals = np.where(ok, rates + mu * stats[3], -np.inf)
@@ -520,7 +518,7 @@ def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
         e_max, p1e, p2e = max_received_energy(prob)
     except InfeasibleError as exc:
         return MacBoundaryResult(False, reason=str(exc))
-    if prob.b_target > e_max + FEAS_TOL:
+    if prob.b_target > e_max + BUDGET_TOL:
         return MacBoundaryResult(
             False, reason=f"energy target {prob.b_target} exceeds max achievable {e_max:.6g}")
 
@@ -649,9 +647,9 @@ def brute_force_mac_oracle(prob: MacProblem, w1: float, w2: float,
                 heads.append(flat // n_pairs ** (q_size - 2 - m) % n_pairs)
                 partial = partial + wq[m] * T[:, heads[m]]
             tot = partial[:, :, None] + last[:, None, :]
-            feas = ((tot[4] <= prob.p1_budget + FEAS_TOL)
-                    & (tot[5] <= prob.p2_budget + FEAS_TOL)
-                    & (tot[3] >= prob.b_target - FEAS_TOL))
+            feas = ((tot[4] <= prob.p1_budget + BUDGET_TOL)
+                    & (tot[5] <= prob.p2_budget + BUDGET_TOL)
+                    & (tot[3] >= prob.b_target - BUDGET_TOL))
             vals = _corner_rates(tot[0], tot[1], tot[2], w1, w2)
             vals = np.where(feas, vals, -np.inf)
             idx = np.argmax(vals, axis=1)
@@ -713,7 +711,7 @@ def gaussian_mac_timeshare(power: float, b_target: float) -> GaussianMacSolution
     """
     if not (0 <= power < np.inf and 0 <= b_target < np.inf):
         raise ValueError("power and energy target must be finite and nonnegative")
-    if b_target > 4.0 * power + 1.0 + FEAS_TOL:
+    if b_target > 4.0 * power + 1.0 + BUDGET_TOL:
         return GaussianMacSolution(0.0, 0.0, 0.0, feasible=False)
     dc = min(max(0.5 * (b_target - 2.0 * power - 1.0), 0.0), power)
     return GaussianMacSolution(gaussian_unconstrained_sum_rate(power - dc), power - dc, dc)
@@ -744,7 +742,7 @@ def gaussian_mac_sweep(powers, b_grid):
     for p in powers:
         for bt in b_grid:
             sol = gaussian_mac_timeshare(p, bt)
-            no_ts = gaussian_unconstrained_sum_rate(p) if bt <= 2.0 * p + 1.0 + 1e-12 else 0.0
+            no_ts = gaussian_unconstrained_sum_rate(p) if bt <= 2.0 * p + 1.0 + BUDGET_TOL else 0.0
             rows.append(GaussianSweepRow(p, bt, sol.r_sum, sol.p_prime, sol.p_dprime,
                                          no_ts, sol.feasible))
     return rows

@@ -22,7 +22,6 @@ from .channel import (AwgnSpec, CostFn, DmChannel, EnergyFn, InfeasibleError,
 from .mac_region import simplex_grid
 from .metrics import entropy_bits
 
-FEAS_TOL = 1e-9  # the search stops once p_mu harvests this close to the most it can
 _MU_STEPS = 200  # multiplier evaluations: doublings plus bracket steps
 _SOLVE_TOL_BITS = BA_TOL_BITS / 4  # each solve's stop, so the caps close within BA_TOL_BITS
 
@@ -120,7 +119,7 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
         lo, hi, f_lo, f_hi, last, harvest = 0.0, None, i1 - c2, None, None, best[2]
         for _ in range(_MU_STEPS):  # no larger mu lowers upper_c once p_mu harvests e_max
             if (min(upper_i, upper_c) - best[0] < BA_TOL_BITS or best[0] >= least
-                    or hi is None and harvest >= top - FEAS_TOL):
+                    or hi is None and harvest >= top - BUDGET_TOL):
                 break
             mu = (2.0 * lo or 1.0) if hi is None else (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
             if hi is not None and not lo < mu < hi:

@@ -9,6 +9,7 @@ import pytest
 
 import infoenergy as ie
 from conftest import make_binary_adder, report_bytes
+from infoenergy.capacity import BUDGET_TOL
 
 
 def reports_equal(a: ie.SimReport, b: ie.SimReport) -> bool:
@@ -60,7 +61,7 @@ def one_word_codebook(policy, n, rate, *, alphabet=None, cost=None, budget=None,
     for m in range(messages):
         for _ in range(ie.linksim.MAX_REJECTIONS + 1):
             word = draw()
-            if budget is None or word_cost(word) <= budget + ie.linksim.COST_SLACK:
+            if budget is None or word_cost(word) <= budget + BUDGET_TOL:
                 break
         else:
             raise RuntimeError(
@@ -150,7 +151,7 @@ def per_trial_mhc_harvest(cb1, sampler, relay, b, p2_budget, trials, seed):
         m = int(rng.integers(cb1.message_count))
         harvested[t] = b.values[sampler.sample(x1[m], rng)].sum() / cb1.n
         x2 = relay.transmit(harvested[t] + p2_budget, cb1.n, rng)
-        if np.square(x2).sum() / cb1.n > harvested[t] + p2_budget + ie.linksim.COST_SLACK:
+        if np.square(x2).sum() / cb1.n > harvested[t] + p2_budget + BUDGET_TOL:
             violations += 1
     se = float(harvested.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return ie.SimReport(cb1.n, trials, seed, float(harvested.mean()), float("nan"),
@@ -213,6 +214,13 @@ class TestGenerateCodebook:
             ie.generate_codebook(ie.Pmf.degenerate(4, 0), 20, 0.1,
                                  alphabet=FOUR_LEVELS, cost=SQUARES,
                                  budget=1.0, seed=4)
+
+    def test_screen_reads_the_budget_within_budget_tol(self):
+        # A word with one symbol 1 costs 0.5, 5e-10 over the budget.
+        cb = ie.generate_codebook(ie.Pmf.uniform(2), 2, 1.0, alphabet=ie.Alphabet([0.0, 1.0]),
+                                  cost=ie.CostFn([0.0, 1.0]), budget=0.5 - 5e-10, seed=6)
+        assert cb.message_count == 4
+        assert not cb.words.any()
 
     def test_budget_without_cost_raises(self):
         # Nothing to screen by: the budget would be silently ignored.
@@ -368,7 +376,7 @@ class TestBlockDrawsMatchOneWordDraws:
             if costs[rows:].max() > costs[:rows].max():
                 break
         budget = costs[:rows].max()
-        first_over = int(np.argmax(costs > budget + ie.linksim.COST_SLACK))
+        first_over = int(np.argmax(costs > budget + BUDGET_TOL))
         assert rows <= first_over < len(costs)
 
         real = ie.linksim._block_cost
@@ -551,6 +559,16 @@ class TestEnergyMarkovBound:
         assert not ie.check_energy_markov_bound(rep, 2.0, 0.1)
 
 
+class OverspendingRelay(ie.ScalingGaussianRelay):
+    """Spends its budget plus extra, up to rounding in the last places."""
+
+    def __init__(self, extra):
+        self.extra = extra
+
+    def transmit(self, budget, n, rng):
+        return super().transmit(budget + self.extra, n, rng)
+
+
 class TestSimulateMhcHarvest:
     def _codebook(self, n=1024, seed=3):
         return ie.generate_codebook(ie.Pmf.uniform(4), n, 4.0 / n,
@@ -580,6 +598,14 @@ class TestSimulateMhcHarvest:
                                       ie.FixedPowerGaussianRelay(2.5), SQUARES_B,
                                       0.0, 4000, seed=4)
         assert 0.35 <= rep.relay_viol_freq <= 0.65
+
+    @pytest.mark.parametrize("extra,freq", [(5e-10, 1.0), (5e-13, 0.0)])
+    def test_spend_read_within_budget_tol(self, extra, freq):
+        cb = self._codebook(n=256)
+        hop1 = ie.DmChannel.noiseless(FOUR_LEVELS)
+        rep = ie.simulate_mhc_harvest(cb, ie.DmPointToPointSampler(hop1),
+                                      OverspendingRelay(extra), SQUARES_B, 0.5, 400, seed=5)
+        assert rep.relay_viol_freq == freq
 
 
 class TestSimulateDecode:

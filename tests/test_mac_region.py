@@ -11,9 +11,11 @@ import pytest
 import infoenergy as ie
 from conftest import make_adder_problem, make_random_mac_instance
 from infoenergy import mac_region as mr
+from infoenergy.capacity import BUDGET_TOL
 from infoenergy.metrics import entropy_bits
 
 EQ6_P1 = 0.5 * np.log2(3.0)  # unconstrained sum rate at P = 1
+ACCEPTANCE_SEEDS = (2024, 2025, 2026, 2027, 2028)
 
 
 def itertools_simplex_grid(dim, steps):
@@ -116,21 +118,33 @@ class TestMacBoundaryPoint:
         assert res.triple.b == pytest.approx(2.0)
 
     def test_infeasible_target(self):
-        res = ie.mac_boundary_point(make_adder_problem(2.5), 1.0, 1.0)
-        assert not res.feasible
-        assert "exceeds" in res.reason
+        """Past Emax by more than BUDGET_TOL: the adder at 2.5, and each
+        acceptance instance at Emax + 5e-10."""
+        probs = [make_adder_problem(2.5)]
+        for seed in ACCEPTANCE_SEEDS:
+            prob = make_random_mac_instance(seed)
+            probs.append(prob.with_target(ie.max_received_energy(prob)[0] + 5e-10))
+        for prob in probs:
+            res = ie.mac_boundary_point(prob, 1.0, 1.0)
+            assert not res.feasible, prob.b_target
+            assert "exceeds" in res.reason
 
     def test_returned_triple_feasible_for_policy(self):
-        prob = make_random_mac_instance(5)
-        emax, _, _ = ie.max_received_energy(prob)
-        res = ie.mac_boundary_point(prob.with_target(0.8 * emax), 1.0, 1.0)
-        assert res.feasible
-        i1, i2, i_sum, eby = ie.mac_mutual_informations(
-            res.policy, prob.channel, prob.b)
-        assert res.triple.r1 <= i1 + 1e-9
-        assert res.triple.r2 <= i2 + 1e-9
-        assert res.triple.r1 + res.triple.r2 <= i_sum + 1e-9
-        assert 0.8 * emax <= eby + 1e-9
+        """The policy attains the triple and meets the floor within BUDGET_TOL:
+        seed 5 at 0.8 Emax, and each acceptance instance just below Emax."""
+        cases = [(5, 0.8, (1.0, 1.0))]
+        cases += [(seed, 0.999999, w) for seed in ACCEPTANCE_SEEDS for w in SWEEP_WEIGHTS]
+        for seed, frac, w in cases:
+            prob = make_random_mac_instance(seed)
+            b_target = frac * ie.max_received_energy(prob)[0]
+            res = ie.mac_boundary_point(prob.with_target(b_target), *w)
+            assert res.feasible
+            i1, i2, i_sum, eby = ie.mac_mutual_informations(
+                res.policy, prob.channel, prob.b)
+            assert res.triple.r1 <= i1 + 1e-9
+            assert res.triple.r2 <= i2 + 1e-9
+            assert res.triple.r1 + res.triple.r2 <= i_sum + 1e-9
+            assert eby >= b_target - BUDGET_TOL, (seed, w)
 
     def test_monotone_in_energy_target(self):
         prob = make_random_mac_instance(6)
@@ -365,9 +379,9 @@ class TestBruteForceOracle:
                 for m, idx in enumerate(head):
                     partial = partial + wq[m] * T[:, idx]
                 tot = partial[:, None] + wq[-1] * T
-                feas = ((tot[4] <= prob.p1_budget + mr.FEAS_TOL)
-                        & (tot[5] <= prob.p2_budget + mr.FEAS_TOL)
-                        & (tot[3] >= prob.b_target - mr.FEAS_TOL))
+                feas = ((tot[4] <= prob.p1_budget + BUDGET_TOL)
+                        & (tot[5] <= prob.p2_budget + BUDGET_TOL)
+                        & (tot[3] >= prob.b_target - BUDGET_TOL))
                 vals = np.where(feas, ref_corner_rates(*tot[:3], 1.0, 0.5), -np.inf)
                 idx = int(np.argmax(vals))
                 if vals[idx] > best_val + 1e-15:
@@ -445,7 +459,7 @@ def ref_violation(stats, prob):
 
 def ref_score_block(stats, prob, w1, w2):
     viol = ref_violation(stats, prob)
-    feas = viol <= mr.FEAS_TOL
+    feas = viol <= BUDGET_TOL
     if feas.any():
         vals = ref_corner_rates(stats[:, 0], stats[:, 1], stats[:, 2], w1, w2)
         vals = np.where(feas, vals, -np.inf)
@@ -466,8 +480,8 @@ def per_column_scan(inst, prob, w1, w2, mus, budget):
         idx, score = ref_score_block(stats.T, prob, w1, w2)
         if mr._better(score, seed_score):
             seed_score, seed = score, (g1[idx], g2[j])
-        ok = ((stats[4] <= prob.p1_budget + mr.FEAS_TOL)
-              & (stats[5] <= prob.p2_budget + mr.FEAS_TOL))
+        ok = ((stats[4] <= prob.p1_budget + BUDGET_TOL)
+              & (stats[5] <= prob.p2_budget + BUDGET_TOL))
         rates = ref_corner_rates(stats[0], stats[1], stats[2], w1, w2)
         for m, mu in enumerate(mus):
             vals = np.where(ok, rates + mu * stats[3], -np.inf)
@@ -529,7 +543,7 @@ class TestScorer:
                     assert mr._Instance(prob, *w).score(t.T.copy().T) == want  # strided rows
                     checked["infeasible"] += want[1][0] == 0
                     if want[1][0] == 1:
-                        vals = np.where(ref_violation(t.T, prob) <= mr.FEAS_TOL,
+                        vals = np.where(ref_violation(t.T, prob) <= BUDGET_TOL,
                                         ref_corner_rates(*t[:3], *w), -np.inf)
                         checked["ties"] += np.count_nonzero(vals == vals.max()) > 1
         assert checked["infeasible"] > 50 and checked["ties"] > 50
@@ -775,8 +789,9 @@ class TestGaussianMac:
             ie.gaussian_unconstrained_sum_rate(np.nan)
 
     def test_infeasible_beyond_max_energy(self):
-        sol = ie.gaussian_mac_timeshare(1.0, 5.1)
-        assert not sol.feasible
+        """At P = 1, B is feasible up to 4P + 1 = 5 plus BUDGET_TOL."""
+        for b_target, feasible in ((5.1, False), (5.0 + 5e-10, False), (5.0 + 5e-13, True)):
+            assert ie.gaussian_mac_timeshare(1.0, b_target).feasible == feasible, b_target
 
     def test_midrange_matches_dense_oracle(self):
         for b_target in (3.5, 4.0, 4.5):
