@@ -6,7 +6,8 @@ so each iterate is feasible, and stops on Blahut's dual bound (gap_bits).
 Every solver here and in multihop, and mac_region's largest received energy,
 read a cost budget by _budget_rule, and its extreme pmfs by _budget_vertices.
 Every budget, energy floor, largest harvest and relay spend in the package
-counts as met within BUDGET_TOL = 1e-12 (absolute).  With a gain per symbol
+counts as met within BUDGET_TOL = 1e-12 (absolute), defined in closedform with
+the test of a budget below the cheapest cost.  With a gain per symbol
 it also traces the relay's information-energy frontier.  The Gaussian case is
 handled in closed form only.
 """
@@ -19,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import AlphabetMismatchError, CostFn, DmChannel, InfeasibleError, Pmf
+from .channel import CostFn, DmChannel, Pmf
+from .closedform import BUDGET_TOL, AlphabetMismatchError, _check_budget_floor
 
 LN2 = float(np.log(2.0))
 
 BA_TOL_BITS = 1e-7
 BA_MAX_ITER = 20000
-BUDGET_TOL = 1e-12  # a budget this close to the cheapest cost is pinned to it
 
 
 @dataclass
@@ -83,8 +84,7 @@ def _budget_rule(cost: np.ndarray, budget: float):
     below the cheapest cost, within BUDGET_TOL of it the symbols that close to it
     and no budget, else every symbol and E[cost] <= budget."""
     floor = cost.min()
-    if budget < floor - BUDGET_TOL:
-        raise InfeasibleError(f"budget {budget} is below the cheapest symbol cost {floor}")
+    _check_budget_floor(budget, floor)
     if budget <= floor + BUDGET_TOL:
         return cost <= floor + BUDGET_TOL, np.inf
     return np.ones(cost.size, dtype=bool), budget

@@ -12,23 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closedform import AlphabetMismatchError, ChannelFormatError, InfeasibleError
+
 # Probability vectors within this tolerance of summing to 1 are renormalized
 # exactly; anything further off is rejected.
 PMF_TOL = 1e-9
 
 CHANNEL_FILE_KEYS = {"input_alphabets", "output_alphabet", "transition", "cost", "energy"}
-
-
-class AlphabetMismatchError(ValueError):
-    """Operands are aligned to alphabets of different sizes."""
-
-
-class ChannelFormatError(ValueError):
-    """A channel specification file is malformed."""
-
-
-class InfeasibleError(RuntimeError):
-    """The requested constraint set admits no solution."""
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -47,7 +37,8 @@ class Alphabet:
         arr = _frozen(self.symbols)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("alphabet must be a nonempty 1-D list of symbols")
-        if len(np.unique(arr)) != arr.size:
+        ordered = np.sort(arr)  # NaNs sort last, so a NaN before the end has a twin
+        if ((ordered[1:] == ordered[:-1]) | np.isnan(ordered[:-1])).any():
             raise ValueError("alphabet symbols must be pairwise distinct")
         object.__setattr__(self, "symbols", arr)
 

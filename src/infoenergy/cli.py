@@ -12,34 +12,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 
-import numpy as np
-
-from .channel import ChannelFormatError, InfeasibleError, Pmf, load_channel_file
-from .linksim import (GaussianMacSampler, GaussianPhasePolicy, DmMacSampler,
-                      DmPointToPointSampler, ScalingGaussianRelay,
-                      generate_codebook, generate_mac_codebooks,
-                      simulate_mac_energy, simulate_mhc_harvest)
-from .mac_region import (MacProblem, gaussian_mac_sweep, mac_region_sweep)
-from .multihop import MhcProblem, mhc_capacity, relay_snr_sweep
+from .closedform import ChannelFormatError, InfeasibleError, gaussian_mac_sweep, relay_snr_sweep
 
 REGION_WEIGHTS = ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 # Largest --steps a sweep accepts; the README's sweeps use at most 81.
 MAX_STEPS = 10_000
 
 
-def _sweep_grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    """The checked sweep range as `steps` evenly spaced points."""
+def _sweep_grid(lo: float, hi: float, steps: int) -> list:
+    """The checked sweep range as the `steps` floats of numpy.linspace(lo, hi, steps)."""
     if lo > hi:
         raise ValueError(f"range minimum {lo} exceeds maximum {hi}")
     if not 2 <= steps <= MAX_STEPS:
         raise ValueError(f"sweeps need 2 <= --steps <= {MAX_STEPS}, got {steps}")
-    return np.linspace(lo, hi, steps)
+    div, delta = steps - 1, hi - lo
+    step = delta / div  # 0 for a zero or subnormal delta: then linspace scales i/div
+    return [(i / div * delta if step == 0 else i * step) + lo for i in range(div)] + [hi]
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):  # bools too, as 0 and 1
+    if isinstance(x, numbers.Integral):  # numpy integers and bools too, as 0 and 1
         return str(int(x))
     return format(float(x), ".6g")
 
@@ -48,8 +44,8 @@ def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
+        value = math.nan
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
@@ -133,6 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _channels(paths, count: int, mac: bool):
     """(channel, costs, energy) from exactly `count` --channel files of one kind."""
+    from .channel import load_channel_file
     if len(paths or ()) != count:
         raise ValueError(f"this command needs --channel exactly {count} time(s), "
                          f"got {len(paths or ())}")
@@ -153,6 +150,7 @@ def _cmd_gaussian_mac(args):
 
 
 def _cmd_mac_region(args):
+    from .mac_region import MacProblem, mac_region_sweep
     [(ch, costs, energy)] = _channels(args.channel, 1, mac=True)
     b_max = args.b_max if args.b_max is not None else 0.0
     grid = _sweep_grid(args.b_min, b_max, args.steps)
@@ -163,6 +161,7 @@ def _cmd_mac_region(args):
 
 
 def _cmd_mhc(args):
+    from .multihop import MhcProblem, mhc_capacity
     (hop1, costs1, energy), (hop2, costs2, _) = _channels(args.channel, 2, mac=False)
     sol = mhc_capacity(MhcProblem(hop1, hop2, costs1[0], costs2[0], energy, args.P1, args.P2))
     return json.dumps({
@@ -181,6 +180,10 @@ def _cmd_mhc_example(args):
 
 
 def _cmd_simulate_mac(args):
+    import numpy as np
+    from .channel import Pmf
+    from .linksim import (GaussianMacSampler, GaussianPhasePolicy, DmMacSampler,
+                          generate_codebook, generate_mac_codebooks, simulate_mac_energy)
     b_target = args.b_min
     eps = args.eps if args.eps is not None else 0.05 * b_target
     if args.channel:
@@ -199,6 +202,9 @@ def _cmd_simulate_mac(args):
 
 
 def _cmd_simulate_mhc(args):
+    from .channel import Pmf
+    from .linksim import (DmPointToPointSampler, ScalingGaussianRelay, generate_codebook,
+                          simulate_mhc_harvest)
     if args.channel:
         [(hop1, costs, energy)] = _channels(args.channel, 1, mac=False)
         cost1 = costs[0]

@@ -11,10 +11,10 @@ a stage in a state another restart already entered takes that restart's
 result.  Both reuse exactly the bits a recomputation would give.  Stat
 tables are stat-major (a row per stat, a column per candidate), and the
 scorer skips the rows and zero-weight products that are exactly +-0.  A
-brute-force grid enumerator is provided as an independent test oracle, and
-the Gaussian two-sender example (Gaussian codewords around a DC offset that
-both senders agree on) is solved in closed form.  A sweep's points are
-spread over the CPUs of the affinity mask, with the same rows on any number.
+brute-force grid enumerator is provided as an independent test oracle.  A
+sweep's points are spread over the CPUs of the affinity mask, with the same
+rows on any number.  The Gaussian two-sender example's closed form lives in
+closedform and is re-exported here.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import numpy as np
 from ._workers import fork_map
 from .capacity import BUDGET_TOL, _budget_vertices
 from .channel import CostFn, DmChannel, EnergyFn, InfeasibleError, Pmf
+from .closedform import (GaussianMacSolution, GaussianSweepRow, gaussian_mac_sweep,
+                         gaussian_mac_timeshare as _timeshare, gaussian_unconstrained_sum_rate)
 from .metrics import (TimeSharingPolicy, _vary_first_input, entropy_bits,
                       mac_mutual_informations)
 
@@ -668,81 +670,6 @@ def brute_force_mac_oracle(prob: MacProblem, w1: float, w2: float,
     return _result_from_policy(prob, w1, w2, wq, A1, A2)
 
 
-# ---------------------------------------------------------------------------
-# Gaussian two-sender example
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaussianMacSolution:
-    """Optimal policy of the Gaussian two-sender example.
-
-    Every symbol of both senders is sqrt(p_dprime) + N(0, p_prime), with the
-    same DC sign at both, so the offsets combine coherently at the receiver.
-    """
-
-    r_sum: float
-    p_prime: float
-    p_dprime: float
-    feasible: bool = True
-
-
-def gaussian_unconstrained_sum_rate(power: float) -> float:
-    """Max sum rate 0.5*log2(1 + 2P) with no energy floor."""
-    if not 0 <= power < np.inf:
-        raise ValueError("power must be finite and nonnegative")
-    return 0.5 * float(np.log2(1.0 + 2.0 * power))
-
-
 def gaussian_mac_timeshare(power: float, b_target: float) -> GaussianMacSolution:
-    """Best sum rate under a received-energy floor, in closed form.
-
-    With DC power a and Gaussian variance P-a at both senders, the receiver
-    gets E[Y^2] = 4a + 2(P-a) + 1 = 2P+2a+1 and, knowing the offset, the sum
-    rate 0.5*log2(1 + 2(P-a)).  The least a meeting B is (B-2P-1)/2, clipped
-    to [0, P]: the rate is 0.5*log2(1+2P) up to B = 2P+1, then
-    0.5*log2(4P+2-B), down to 0 at B = 4P+1; above that B is infeasible.
-
-    No input law does better.  Given a time-sharing variable Q the senders
-    are independent with means m_k and variances v_k, m_k^2 + v_k averaging
-    at most P, so E[Y^2] - 1 = E[(m_1+m_2)^2 + v_1+v_2] <= 4P - E[v_1+v_2].
-    The Gaussian maximum-entropy bound and Jensen's inequality then cap the
-    sum rate at 0.5*log2(1 + E[v_1+v_2]) <= 0.5*log2(min(1+2P, 4P+2-B)).
-    """
-    if not (0 <= power < np.inf and 0 <= b_target < np.inf):
-        raise ValueError("power and energy target must be finite and nonnegative")
-    if b_target > 4.0 * power + 1.0 + BUDGET_TOL:
-        return GaussianMacSolution(0.0, 0.0, 0.0, feasible=False)
-    dc = min(max(0.5 * (b_target - 2.0 * power - 1.0), 0.0), power)
-    return GaussianMacSolution(gaussian_unconstrained_sum_rate(power - dc), power - dc, dc)
-
-
-@dataclass
-class GaussianSweepRow:
-    power: float
-    b_target: float
-    r_timeshare: float
-    p_prime: float
-    p_dprime: float
-    r_no_ts: float
-    feasible: bool
-
-
-def gaussian_mac_sweep(powers, b_grid):
-    """Sum rate vs energy floor, with and without a DC offset, per (P, B).
-
-    The zero-mean baseline sends no DC offset and is reported as 0 where its
-    own feasibility check (B <= 2P+1) fails.
-    """
-    powers = list(powers)
-    b_grid = list(b_grid)
-    if not powers or not b_grid:
-        raise ValueError("powers and B grid must be nonempty")
-    rows = []
-    for p in powers:
-        for bt in b_grid:
-            sol = gaussian_mac_timeshare(p, bt)
-            no_ts = gaussian_unconstrained_sum_rate(p) if bt <= 2.0 * p + 1.0 + BUDGET_TOL else 0.0
-            rows.append(GaussianSweepRow(p, bt, sol.r_sum, sol.p_prime, sol.p_dprime,
-                                         no_ts, sol.feasible))
-    return rows
+    """closedform's, as a function of this module, which perfbench's tracer wraps."""
+    return _timeshare(power, b_target)

@@ -6,7 +6,7 @@ plus the mean energy it harvests from the first hop.  That max-min is concave
 in the first-hop pmf, and its optimum lies on the information-energy frontier
 of the pmfs maximising I(X1;Y1) + mu*E[b(Y1)], each one capacity._ba run;
 mhc_capacity brackets mu by Illinois steps and stops on the caps it
-reports.  The four-level worked example is solved exactly as a scalar max-min.
+reports.  closedform solves the four-level worked example, re-exported here.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .capacity import (BA_TOL_BITS, BUDGET_TOL, LN2, _ba, _budget_rule, _budget_
                        _capacity, awgn_capacity)
 from .channel import (AwgnSpec, CostFn, DmChannel, EnergyFn, InfeasibleError,
                       Pmf)
+from .closedform import EXAMPLE_LEVELS, SnrSweepRow, mhc_example_capacity, relay_snr_sweep
 from .mac_region import simplex_grid
 from .metrics import entropy_bits
 
@@ -189,18 +190,6 @@ def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:
     return float(np.minimum(i1, best_i2).max())
 
 
-# ---------------------------------------------------------------------------
-# Four-level first hop feeding a Gaussian second hop
-# ---------------------------------------------------------------------------
-#
-# The worked example: a noiseless first hop on the levels {-2, -1, 1, 2} with
-# quadratic cost and harvested energy, followed by an average-power-limited
-# Gaussian hop.  By symmetry the input is (p, 1/2-p, 1/2-p, p), its mean
-# squared level is 6p+1, and the trade-off reduces to a scalar search on p.
-
-EXAMPLE_LEVELS = (-2.0, -1.0, 1.0, 2.0)
-
-
 def symmetric_input_entropy(p) -> np.ndarray:
     """Entropy in bits of the pmf (p, 1/2-p, 1/2-p, p) on four levels."""
     p = np.asarray(p, dtype=float)
@@ -209,74 +198,6 @@ def symmetric_input_entropy(p) -> np.ndarray:
         t1 = np.where(p > 0, -2.0 * p * np.log2(p), 0.0)
         t2 = np.where(q > 0, -(1.0 - 2.0 * p) * np.log2(q), 0.0)
     return t1 + t2
-
-
-def mhc_example_capacity(p1_budget: float, p2_budget: float, n0: float):
-    """Exact max-min over the symmetric parameter p in [0, 1/2].
-
-    Maximizes min(entropy H4(p) of the four-level input, Gaussian hop
-    capacity at power P2 + 6p + 1) subject to the hop-1 cost 6p+1 <= P1.
-    H4 peaks at p = 1/4 and the capacity strictly increases, so the unique
-    maximizer is the peak min(1/4, p_max) if the capacity there covers H4,
-    else p_max if H4 there covers the capacity, else the crossing, found by
-    bisection.  Returns (capacity bits, maximizing p).
-    """
-    if not 0 < n0 < np.inf:
-        raise ValueError("noise variance must be positive and finite")
-    if not (np.isfinite(p1_budget) and 0 <= p2_budget < np.inf):
-        raise ValueError("budgets must be finite and P2 nonnegative")
-    _budget_rule(np.square(EXAMPLE_LEVELS), p1_budget)  # InfeasibleError below 6p+1 >= 1
-    p_max = min(0.5, max(float(p1_budget) - 1.0, 0.0) / 6.0)
-
-    def terms(ps):
-        return symmetric_input_entropy(ps), awgn_capacity(p2_budget + 6.0 * ps + 1.0, n0)
-
-    def gap(p):
-        """H4(p) minus the hop capacity, on scalars strictly inside (0, 1/2)."""
-        return (-2.0 * p * np.log2(p) - (1.0 - 2.0 * p) * np.log2(0.5 - p)
-                - 0.5 * np.log2(1.0 + (p2_budget + 6.0 * p + 1.0) / n0))
-
-    p_peak = min(0.25, p_max)
-    h, g = terms(np.array([p_peak, p_max]))
-    if g[0] >= h[0]:
-        p_star = p_peak
-    elif h[1] >= g[1]:
-        p_star = p_max
-    else:
-        lo, hi = p_peak, p_max  # the gap falls strictly from > 0 to < 0
-        while lo < 0.5 * (lo + hi) < hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
-        p_star = lo
-    h, g = terms(np.array([p_star]))
-    return float(min(h[0], g[0])), p_star
-
-
-@dataclass
-class SnrSweepRow:
-    snr: float
-    n0: float
-    capacity_bits: float
-    p_star: float
-
-
-def relay_snr_sweep(p1_budget: float, p2_budget: float, snr_grid,
-                    snr_log10: bool = False):
-    """Example capacity and optimal p across an SNR grid.
-
-    SNR maps to noise power as N0 = 2**(-snr/10); pass snr_log10=True for the
-    conventional decibel mapping N0 = 10**(-snr/10) instead.
-    """
-    snr_grid = list(snr_grid)
-    if sorted(snr_grid) != snr_grid:
-        raise ValueError("SNR grid must be sorted ascending")
-
-    rows = []
-    for snr in snr_grid:
-        n0 = 10.0 ** (-snr / 10.0) if snr_log10 else 2.0 ** (-snr / 10.0)
-        cap, p_star = mhc_example_capacity(p1_budget, p2_budget, n0)
-        rows.append(SnrSweepRow(snr, n0, cap, p_star))
-    return rows
 
 
 def example_problem(p1_budget: float, p2_budget: float, n0: float,

@@ -11,10 +11,11 @@ from conftest import make_binary_adder, negative_entry_doc
 
 class TestConstructors:
     def test_alphabet_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            ie.Alphabet([1.0, 1.0])
-        with pytest.raises(ValueError):
-            ie.Alphabet([])
+        # As numpy.unique counts them: two NaNs are one symbol, and so are -0.0 and 0.0.
+        for symbols in ([1.0, 1.0], [], [np.nan, np.nan], [0.0, -0.0]):
+            with pytest.raises(ValueError):
+                ie.Alphabet(symbols)
+        assert len(ie.Alphabet([1.0, np.nan])) == 2
 
     def test_pmf_normalizes_within_tolerance(self):
         p = ie.Pmf([0.5, 0.5 + 5e-10])

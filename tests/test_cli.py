@@ -215,6 +215,13 @@ class TestMhcExampleCommand:
                   "--snr-max", "10", "--steps", "3"])
         assert rc == 3
 
+    @pytest.mark.parametrize("flags", [["--snr-min", "-4000", "--snr-log10"],
+                                       ["--snr-min", "-11000"]])
+    def test_noise_power_past_the_float_range_exits_2(self, flags, capsys):
+        rc = run(["mhc-example", *flags, "--snr-max", "0", "--steps", "3"])
+        assert rc == 2
+        assert "noise variance must be positive and finite" in capsys.readouterr().err
+
 
 class TestSimulateCommands:
     def test_zero_trials_exits_2(self, tmp_path, capsys):

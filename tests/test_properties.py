@@ -1,5 +1,6 @@
 """Property tests of the Gaussian two-sender solver, the cost-constrained capacity,
-the harvesting-relay capacity and the two-sender energy simulator."""
+the harvesting-relay capacity, the two-sender energy simulator and the CLI's
+sweep grid."""
 
 import itertools
 import os
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import infoenergy as ie
 from conftest import report_bytes
 from infoenergy.capacity import BUDGET_TOL, _budget_rule
+from infoenergy.cli import _sweep_grid
 
 FEW = settings(max_examples=40, deadline=None, derandomize=True)
 FEWER = settings(FEW, max_examples=10)  # each example solves two relay problems
@@ -316,3 +318,15 @@ def test_simulated_mac_energy_same_on_one_and_two_cpus(link, trials, seed):
     assert forks == [0, int(trials > 3)]
     with pytest.raises(ChildProcessError):  # no child left
         os.waitpid(-1, os.WNOHANG)
+
+
+@FEW
+@given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2), st.integers(2, 500))
+@example([-1e300, 1e300], 500)
+@example([-2.5, -2.5], 2)
+@example([0.0, 5e-324], 4)  # step 0: linspace scales i/(steps-1) by the range
+@example([-1e-310, 2e-310], 7)
+@example([-0.0, 0.0], 4)
+def test_sweep_grid_is_linspace_bit_for_bit(ends, steps):
+    lo, hi = sorted(ends)
+    assert np.array(_sweep_grid(lo, hi, steps)).tobytes() == np.linspace(lo, hi, steps).tobytes()
