@@ -14,7 +14,8 @@ import importlib
 _HOMES = {
     "capacity": "CapacityResult awgn_capacity dm_capacity_with_cost",
     "channel": "Alphabet AwgnSpec CostFn DmChannel EnergyFn Pmf expected_cost "
-               "expected_received_energy load_channel_file mac_output_pmf save_channel_file",
+               "expected_received_energy load_channel_file mac_output_pmf save_channel_file "
+               "simplex_grid",
     "closedform": "AlphabetMismatchError ChannelFormatError InfeasibleError "
                   "GaussianMacSolution gaussian_mac_sweep gaussian_mac_timeshare "
                   "gaussian_unconstrained_sum_rate mhc_example_capacity relay_snr_sweep",
@@ -23,7 +24,7 @@ _HOMES = {
                "check_energy_markov_bound generate_codebook generate_mac_codebooks "
                "simulate_decode simulate_mac_energy simulate_mhc_harvest",
     "mac_region": "MacBoundaryResult MacProblem RateEnergyTriple brute_force_mac_oracle "
-                  "mac_boundary_point mac_region_sweep max_received_energy simplex_grid",
+                  "mac_boundary_point mac_region_sweep max_received_energy",
     "metrics": "TimeSharingPolicy entropy mac_mutual_informations mutual_information",
     "multihop": "MhcProblem MhcSolution cutset_joint_oracle example_problem mhc_capacity "
                 "symmetric_input_entropy",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,6 +78,38 @@ class Pmf:
         p = np.zeros(n)
         p[index] = 1.0
         return cls(p)
+
+
+@lru_cache(maxsize=None)
+def _simplex_grid_cached(dim: int, steps: int):
+    if dim == 1:
+        grid = np.ones((1, 1))
+    else:
+        # Integer compositions of t, one symbol at a time: every row splits
+        # into one child per count its remainder allows, in ascending order.
+        t = steps - 1
+        cols, left = [], np.array([t])
+        for _ in range(dim - 1):
+            reps = left + 1
+            k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+            cols = [np.repeat(c, reps) for c in cols] + [k]
+            left = np.repeat(left, reps) - k
+        grid = np.column_stack(cols + [left]) / t
+    grid.setflags(write=False)
+    return grid
+
+
+def simplex_grid(dim: int, steps: int) -> np.ndarray:
+    """All pmfs on `dim` symbols with entries k/(steps-1), read-only and cached.
+
+    There are C(steps-2+dim, dim-1) rows, in lexicographic order of their
+    entries, each exactly its integer counts divided by steps-1.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    if dim > 1 and steps < 2:
+        raise ValueError("need at least 2 grid points per dimension")
+    return _simplex_grid_cached(dim, steps)
 
 
 @dataclass(frozen=True, eq=False)

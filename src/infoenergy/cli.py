@@ -25,11 +25,11 @@ MAX_STEPS = 10_000
 
 def _sweep_grid(lo: float, hi: float, steps: int) -> list:
     """The checked sweep range as the `steps` floats of numpy.linspace(lo, hi, steps)."""
-    if lo > hi:
-        raise ValueError(f"range minimum {lo} exceeds maximum {hi}")
+    div, delta = steps - 1, hi - lo
+    if not 0 <= delta < math.inf:  # descending, or wider than the largest float
+        raise ValueError(f"range {lo} to {hi} must ascend, with a width a float can hold")
     if not 2 <= steps <= MAX_STEPS:
         raise ValueError(f"sweeps need 2 <= --steps <= {MAX_STEPS}, got {steps}")
-    div, delta = steps - 1, hi - lo
     step = delta / div  # 0 for a zero or subnormal delta: then linspace scales i/div
     return [(i / div * delta if step == 0 else i * step) + lo for i in range(div)] + [hi]
 
@@ -66,6 +66,12 @@ def _at_least(low: int):
 def _table(header: str, rows) -> str:
     """CSV text: the header line, then one line of formatted values per row."""
     return "\n".join([header] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def _sim_table(r) -> str:
+    """The CSV of a linksim.SimReport: its header, then its one row."""
+    return _table("n,trials,seed,mean_bn,viol_freq,err_rate,relay_viol_freq", [
+        (r.n, r.trials, r.seed, r.mean_bn, r.viol_freq, r.err_rate, r.relay_viol_freq)])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -196,9 +202,8 @@ def _cmd_simulate_mac(args):
         policy = GaussianPhasePolicy(0.0, args.P)
         cb1, cb2 = generate_mac_codebooks(policy, args.n, 0.0, 0.0, seed=args.seed)
         sampler, b = GaussianMacSampler(1.0), np.square
-    r = simulate_mac_energy(cb1, cb2, sampler, b, b_target, eps, args.trials, args.seed)
-    return _table("n,trials,seed,mean_bn,viol_freq,err_rate,relay_viol_freq", [
-        (r.n, r.trials, r.seed, r.mean_bn, r.viol_freq, r.err_rate, r.relay_viol_freq)])
+    return _sim_table(simulate_mac_energy(cb1, cb2, sampler, b, b_target, eps, args.trials,
+                                          args.seed))
 
 
 def _cmd_simulate_mhc(args):
@@ -216,10 +221,9 @@ def _cmd_simulate_mhc(args):
     cb1 = generate_codebook(Pmf.uniform(len(hop1.input_alphabets[0])), args.n,
                             4.0 / args.n, alphabet=hop1.input_alphabets[0],
                             cost=cost1, budget=args.P1, seed=args.seed)
-    r = simulate_mhc_harvest(cb1, DmPointToPointSampler(hop1), ScalingGaussianRelay(),
-                             energy, args.P2, args.trials, args.seed)
-    return _table("n,trials,seed,mean_bn,viol_freq,err_rate,relay_viol_freq", [
-        (r.n, r.trials, r.seed, r.mean_bn, r.viol_freq, r.err_rate, r.relay_viol_freq)])
+    return _sim_table(simulate_mhc_harvest(cb1, DmPointToPointSampler(hop1),
+                                           ScalingGaussianRelay(), energy, args.P2,
+                                           args.trials, args.seed))
 
 
 _COMMANDS = {

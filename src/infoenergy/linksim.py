@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._workers import fork_map
-from .capacity import BUDGET_TOL
-from .channel import Alphabet, CostFn, DmChannel, EnergyFn, InfeasibleError, Pmf
+from .channel import Alphabet, CostFn, DmChannel, EnergyFn, Pmf
+from .closedform import BUDGET_TOL, InfeasibleError
 from .metrics import TimeSharingPolicy
 
 MAX_REJECTIONS = 1000

@@ -10,25 +10,27 @@ and read back when the same block comes up again, and a restart that enters
 a stage in a state another restart already entered takes that restart's
 result.  Both reuse exactly the bits a recomputation would give.  Stat
 tables are stat-major (a row per stat, a column per candidate), and the
-scorer skips the rows and zero-weight products that are exactly +-0.  A
-brute-force grid enumerator is provided as an independent test oracle.  A
-sweep's points are spread over the CPUs of the affinity mask, with the same
-rows on any number.  The Gaussian two-sender example's closed form lives in
-closedform and is re-exported here.
+scorer skips the rows and zero-weight products that are exactly +-0.  The
+ascent and a brute-force grid enumerator, the independent test oracle, scan
+channel's simplex grids of pmfs.  A sweep's points are spread over the CPUs
+of the affinity mask, with the same rows on any number.  The Gaussian
+two-sender example's closed form lives in closedform and is re-exported here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._workers import fork_map
-from .capacity import BUDGET_TOL, _budget_vertices
-from .channel import CostFn, DmChannel, EnergyFn, InfeasibleError, Pmf
-from .closedform import (GaussianMacSolution, GaussianSweepRow, gaussian_mac_sweep,
-                         gaussian_mac_timeshare as _timeshare, gaussian_unconstrained_sum_rate)
+from .capacity import _budget_vertices
+from .channel import CostFn, DmChannel, EnergyFn, Pmf, simplex_grid
+from .closedform import (BUDGET_TOL, GaussianMacSolution, GaussianSweepRow, InfeasibleError,
+                         gaussian_mac_sweep, gaussian_mac_timeshare as _timeshare,
+                         gaussian_unconstrained_sum_rate)
 from .metrics import (TimeSharingPolicy, _vary_first_input, entropy_bits,
                       mac_mutual_informations)
 
@@ -109,38 +111,6 @@ class MacSweepRow:
     eb: float
 
 
-@lru_cache(maxsize=None)
-def _simplex_grid_cached(dim: int, steps: int):
-    if dim == 1:
-        grid = np.ones((1, 1))
-    else:
-        # Integer compositions of t, one symbol at a time: every row splits
-        # into one child per count its remainder allows, in ascending order.
-        t = steps - 1
-        cols, left = [], np.array([t])
-        for _ in range(dim - 1):
-            reps = left + 1
-            k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-            cols = [np.repeat(c, reps) for c in cols] + [k]
-            left = np.repeat(left, reps) - k
-        grid = np.column_stack(cols + [left]) / t
-    grid.setflags(write=False)
-    return grid
-
-
-def simplex_grid(dim: int, steps: int) -> np.ndarray:
-    """All pmfs on `dim` symbols with entries k/(steps-1), read-only and cached.
-
-    There are C(steps-2+dim, dim-1) rows, in lexicographic order of their
-    entries, each exactly its integer counts divided by steps-1.
-    """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if dim > 1 and steps < 2:
-        raise ValueError("need at least 2 grid points per dimension")
-    return _simplex_grid_cached(dim, steps)
-
-
 def _ladder_candidates(grid: np.ndarray, center, stage: int, factor: int) -> np.ndarray:
     """The center plus its blends toward every grid point at refinement `stage`.
 
@@ -162,17 +132,11 @@ def _ladder_candidates(grid: np.ndarray, center, stage: int, factor: int) -> np.
 
 @lru_cache(maxsize=None)
 def _steps_for(dim: int, budget: int) -> int:
-    """Largest steps such that the simplex grid stays within the row budget."""
+    """Largest steps up to 257 whose simplex grid has at most `budget` rows, or 2."""
     steps = 2
-    while True:
-        nxt = steps + 1
-        t = nxt - 1
-        count = 1
-        for i in range(dim - 1):
-            count = count * (t + i + 1) // (i + 1)
-        if count > budget or nxt > 257:
-            return steps
-        steps = nxt
+    while steps < 257 and math.comb(steps - 1 + dim, dim - 1) <= budget:
+        steps += 1
+    return steps
 
 
 def max_received_energy(prob: MacProblem):

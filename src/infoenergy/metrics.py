@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AlphabetMismatchError, DmChannel, EnergyFn, Pmf
+from .channel import DmChannel, EnergyFn, Pmf
+from .closedform import AlphabetMismatchError
 
 
 def _probs(p) -> np.ndarray:
@@ -35,9 +36,9 @@ def entropy(p) -> float:
     return float(entropy_bits(_probs(p)))
 
 
-def conditional_output_entropy(p_in, W: np.ndarray) -> float:
-    """H(Y|X) for input pmf p_in and transition matrix W of shape (|X|, |Y|)."""
-    return float(_probs(p_in) @ entropy_bits(W))
+def _information(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """H(Y) - H(Y|X) in bits for input pmf P, or each row of a stack P, over W (|X|, |Y|)."""
+    return entropy_bits(P @ W) - P @ entropy_bits(W)
 
 
 def mutual_information(p_in, ch: DmChannel) -> float:
@@ -50,8 +51,7 @@ def mutual_information(p_in, ch: DmChannel) -> float:
         raise AlphabetMismatchError(
             f"input pmf length {p.size} != input alphabet size {W.shape[0]}"
         )
-    out = p @ W
-    return max(float(entropy_bits(out)) - conditional_output_entropy(p, W), 0.0)
+    return max(float(_information(p, W)), 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,8 +5,9 @@ the second-hop capacity, where the relay's transmit budget is its own supply
 plus the mean energy it harvests from the first hop.  That max-min is concave
 in the first-hop pmf, and its optimum lies on the information-energy frontier
 of the pmfs maximising I(X1;Y1) + mu*E[b(Y1)], each one capacity._ba run;
-mhc_capacity brackets mu by Illinois steps and stops on the caps it
-reports.  closedform solves the four-level worked example, re-exported here.
+mhc_capacity brackets mu by Illinois steps and stops on the caps it reports.
+The cut-set oracle scans channel's simplex grids; nothing here loads the MAC
+solver.  closedform solves the four-level example, re-exported here.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (BA_TOL_BITS, BUDGET_TOL, LN2, _ba, _budget_rule, _budget_vertices,
-                       _capacity, awgn_capacity)
-from .channel import (AwgnSpec, CostFn, DmChannel, EnergyFn, InfeasibleError,
-                      Pmf)
-from .closedform import EXAMPLE_LEVELS, SnrSweepRow, mhc_example_capacity, relay_snr_sweep
-from .mac_region import simplex_grid
-from .metrics import entropy_bits
+from .capacity import (BA_TOL_BITS, LN2, _ba, _budget_rule, _budget_vertices, _capacity,
+                       awgn_capacity)
+from .channel import Alphabet, AwgnSpec, CostFn, DmChannel, EnergyFn, Pmf, simplex_grid
+from .closedform import (BUDGET_TOL, EXAMPLE_LEVELS, InfeasibleError, SnrSweepRow,
+                         mhc_example_capacity, relay_snr_sweep)
+from .metrics import _information
 
 _MU_STEPS = 200  # multiplier evaluations: doublings plus bracket steps
 _SOLVE_TOL_BITS = BA_TOL_BITS / 4  # each solve's stop, so the caps close within BA_TOL_BITS
@@ -168,7 +168,7 @@ def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:
     W1 = prob.hop1.transition
     g1 = simplex_grid(n1, steps)
     g1 = g1[_affordable(g1, prob.c1.values, prob.p1_budget)]
-    i1 = entropy_bits(g1 @ W1) - g1 @ entropy_bits(W1)
+    i1 = _information(g1, W1)
     budgets = g1 @ (W1 @ prob.b.values) + prob.p2_budget
 
     if isinstance(prob.hop2, AwgnSpec):
@@ -176,7 +176,7 @@ def cutset_joint_oracle(prob: MhcProblem, steps: int = 21) -> float:
 
     W2 = prob.hop2.transition
     g2 = simplex_grid(W2.shape[0], steps)
-    i2 = entropy_bits(g2 @ W2) - g2 @ entropy_bits(W2)
+    i2 = _information(g2, W2)
     c2 = prob.c2.values if prob.c2 is not None else np.zeros(W2.shape[0])
     ec2 = g2 @ c2
     order = np.argsort(ec2, kind="stable")
@@ -203,8 +203,6 @@ def symmetric_input_entropy(p) -> np.ndarray:
 def example_problem(p1_budget: float, p2_budget: float, n0: float,
                     energy_off: bool = False) -> MhcProblem:
     """The four-level noiseless hop + Gaussian hop instance as an MhcProblem."""
-    from .channel import Alphabet
-
     levels = Alphabet(np.array(EXAMPLE_LEVELS))
     hop1 = DmChannel.noiseless(levels)
     squares = np.array(EXAMPLE_LEVELS) ** 2

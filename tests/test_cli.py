@@ -71,11 +71,21 @@ class TestGaussianMacCommand:
         assert "--steps" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_invalid_range(self, tmp_path):
-        rc = run(["gaussian-mac", "--P", "1", "--b-min", "5", "--b-max", "0",
-                  "--steps", "3", "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert not (tmp_path / "x.csv").exists()
+    def test_invalid_range(self, tmp_path, capsys):
+        # A descending range, and finite ends whose width overflows a float.
+        adder = write_adder_file(tmp_path / "adder.json")
+        for argv, lo, hi in [
+                (["gaussian-mac", "--P", "1", "--b-min", "5", "--b-max", "0"], 5.0, 0.0),
+                (["gaussian-mac", "--b-min=-1.7e308", "--b-max", "1.7e308"], -1.7e308, 1.7e308),
+                (["mhc-example", "--snr-min=-1.7e308", "--snr-max", "1.7e308"], -1.7e308, 1.7e308),
+                (["mac-region", "--channel", adder, "--b-min=-1.7e308", "--b-max", "1.7e308"],
+                 -1.7e308, 1.7e308)]:
+            out = tmp_path / "x.csv"
+            rc = run(argv + ["--steps", "3", "--out", str(out)])
+            assert rc == 2, argv
+            assert capsys.readouterr().err == (
+                f"error: range {lo} to {hi} must ascend, with a width a float can hold\n")
+            assert not out.exists()
 
 
 class TestMacRegionCommand:

@@ -91,14 +91,76 @@ def test_exports_are_the_objects_their_modules_define():
 
 def test_moved_definitions_are_re_exported_not_copied():
     from infoenergy import capacity, channel, closedform, mac_region, multihop
-    for module, names in [
-            (channel, "AlphabetMismatchError ChannelFormatError InfeasibleError"),
-            (capacity, "AlphabetMismatchError BUDGET_TOL"),
-            (mac_region, "GaussianMacSolution GaussianSweepRow gaussian_mac_sweep "
-                         "gaussian_unconstrained_sum_rate"),
-            (multihop, "EXAMPLE_LEVELS SnrSweepRow mhc_example_capacity relay_snr_sweep")]:
+    for module, home, names in [
+            (channel, closedform, "AlphabetMismatchError ChannelFormatError InfeasibleError"),
+            (capacity, closedform, "AlphabetMismatchError BUDGET_TOL"),
+            (mac_region, closedform, "GaussianMacSolution GaussianSweepRow gaussian_mac_sweep "
+                                     "gaussian_unconstrained_sum_rate"),
+            (mac_region, channel, "simplex_grid"),
+            (multihop, closedform, "EXAMPLE_LEVELS SnrSweepRow mhc_example_capacity "
+                                   "relay_snr_sweep")]:
         for name in names.split():
-            assert getattr(module, name) is getattr(closedform, name), (module.__name__, name)
+            assert getattr(module, name) is getattr(home, name), (module.__name__, name)
+
+
+def _parsed_modules() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _defined(tree) -> set:
+    """Names a module binds at top level by a def, a class or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_internal_imports_name_the_defining_module():
+    # `from .m import name` reads `name` where it is defined, never through a re-export.
+    modules = _parsed_modules()
+    found = [f"{module}:{node.lineno} {alias.name} from .{node.module}"
+             for module, tree in modules.items() for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names if alias.name not in _defined(modules[node.module])]
+    assert not found, found
+
+
+@pytest.mark.parametrize("module, unreached", [
+    ("multihop", {"mac_region"}),
+    ("linksim", {"capacity", "mac_region", "multihop"}),
+])
+def test_module_level_imports_keep_the_layers_apart(module, unreached):
+    # The relay solver does not load the MAC solver, nor the Monte Carlo layer any solver.
+    edges = {name: {node.module for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.level == 1}
+             for name, tree in _parsed_modules().items()}
+    reached, todo = set(), [module]
+    while todo:
+        for dep in edges[todo.pop()] - reached:
+            reached.add(dep)
+            todo.append(dep)
+    assert not reached & unreached, sorted(reached)
+
+
+def test_mhc_leaves_the_mac_solver_unloaded(tmp_path):
+    paths = []
+    for k, crossover in enumerate((0.11, 0.2)):
+        paths += ["--channel", str(tmp_path / f"hop{k + 1}.json")]
+        (tmp_path / f"hop{k + 1}.json").write_text(
+            '{"input_alphabets": [[0, 1]], "output_alphabet": [0, 1], "transition": '
+            f'[[{1 - crossover}, {crossover}], [{crossover}, {1 - crossover}]], '
+            '"cost": [[0, 1]], "energy": [0, 1]}')
+    code = ("import atexit, runpy, sys; "
+            "atexit.register(lambda: print('mac_region loaded:', "
+            "'infoenergy.mac_region' in sys.modules)); "
+            "runpy.run_module('infoenergy', run_name='__main__', alter_sys=True)")
+    out = python("-c", code, "mhc", "--P1", "0.5", "--P2", "0.1", *paths)
+    assert '"capacity_bits"' in out and out.endswith("mac_region loaded: False\n")
 
 
 def test_no_assert_statements_in_package():
