@@ -1,15 +1,15 @@
 """Point-to-point channel capacity under an input cost budget.
 
-The discrete solver is one Blahut-Arimoto run whose every update is tilted
-by exp(-s*c(X)) with the least multiplier s >= 0 that keeps it within budget,
-so each iterate is feasible, and stops on Blahut's dual bound (gap_bits).
-Every solver here and in multihop, and mac_region's largest received energy,
-read a cost budget by _budget_rule, and its extreme pmfs by _budget_vertices.
-Every budget, energy floor, largest harvest and relay spend in the package
-counts as met within BUDGET_TOL = 1e-12 (absolute), defined in closedform with
-the test of a budget below the cheapest cost.  With a gain per symbol
-it also traces the relay's information-energy frontier.  The Gaussian case is
-handled in closed form only.
+The discrete solver, _ba, is one Blahut-Arimoto run whose every update is
+tilted by exp(-s*c(X)) with the least multiplier s >= 0 that keeps it within
+budget, so each iterate is feasible, and stops on Blahut's dual bound
+(gap_bits); every capacity solve here and in multihop is one _ba call.  Every
+solver here and in multihop, and mac_region's largest received energy, read a
+cost budget by _budget_rule, and its extreme pmfs by _budget_vertices.  Every
+budget, energy floor, largest harvest and relay spend in the package counts
+as met within BUDGET_TOL = 1e-12 (absolute), defined in closedform with the
+test of a budget below the cheapest cost.  With a gain per symbol _ba traces
+the relay's information-energy frontier.  The Gaussian case is closed form.
 """
 
 from __future__ import annotations
@@ -192,11 +192,6 @@ def dm_capacity_with_cost(
     Raises InfeasibleError when the budget is below the cheapest symbol and
     ValueError when it is NaN.
     """
-    return _capacity(ch, c, budget, BA_TOL_BITS)
-
-
-def _capacity(ch: DmChannel, c: CostFn | None, budget: float | None, tol: float):
-    """dm_capacity_with_cost with its Blahut-Arimoto run stopped within tol bits."""
     if ch.is_mac:
         raise AlphabetMismatchError("expected a point-to-point channel")
     W = ch.transition
@@ -211,5 +206,5 @@ def _capacity(ch: DmChannel, c: CostFn | None, budget: float | None, tol: float)
         if np.isnan(budget_eff):
             raise ValueError("cost budget is NaN")
 
-    r, bits, s, iterates, gap = _ba(W, cost, budget_eff, tol=tol)
+    r, bits, s, iterates, gap = _ba(W, cost, budget_eff)
     return CapacityResult(bits, Pmf(np.maximum(r, 0.0)), float(r @ cost), s, gap, iterates)

@@ -363,8 +363,11 @@ def check_energy_markov_bound(report: SimReport, b_target: float, eps: float) ->
     """Empirical form of E[b_block] >= (B - eps) * Pr[b_block >= B - eps].
 
     Holds pathwise because b is nonnegative; the three-standard-error slack
-    only guards display rounding of externally supplied reports.
+    only guards display rounding of externally supplied reports.  A report
+    with no shortfall frequency (viol_freq NaN) raises ValueError.
     """
+    if np.isnan(report.viol_freq):
+        raise ValueError("report.viol_freq is NaN: no shortfall frequency was measured")
     floor = (b_target - eps) * (1.0 - report.viol_freq)
     return bool(report.mean_bn >= floor - 3.0 * report.mean_bn_se)
 

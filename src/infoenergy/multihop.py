@@ -4,10 +4,10 @@ The end-to-end rate is the smaller of the first-hop mutual information and
 the second-hop capacity, where the relay's transmit budget is its own supply
 plus the mean energy it harvests from the first hop.  That max-min is concave
 in the first-hop pmf, and its optimum lies on the information-energy frontier
-of the pmfs maximising I(X1;Y1) + mu*E[b(Y1)], each one capacity._ba run;
-mhc_capacity brackets mu by Illinois steps and stops on the caps it reports.
-The cut-set oracle scans channel's simplex grids; nothing here loads the MAC
-solver.  closedform solves the four-level example, re-exported here.
+of the pmfs maximising I(X1;Y1) + mu*E[b(Y1)].  Each hop's solve is one
+capacity._ba call; mhc_capacity brackets mu by Illinois steps from f(0) and
+stops on its caps.  The cut-set oracle scans channel's simplex grids; nothing
+here loads the MAC solver.  closedform's four-level example is re-exported.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (BA_TOL_BITS, LN2, _ba, _budget_rule, _budget_vertices, _capacity,
-                       awgn_capacity)
+from .capacity import BA_TOL_BITS, LN2, _ba, _budget_rule, _budget_vertices, awgn_capacity
 from .channel import Alphabet, AwgnSpec, CostFn, DmChannel, EnergyFn, Pmf, simplex_grid
 from .closedform import (BUDGET_TOL, EXAMPLE_LEVELS, InfeasibleError, SnrSweepRow,
                          mhc_example_capacity, relay_snr_sweep)
@@ -70,11 +69,14 @@ def _second_hop_capacity(prob: MhcProblem, budget: float):
     """(bits, relay pmf or None, dual gap of the bits) for a given relay budget."""
     if isinstance(prob.hop2, AwgnSpec):
         return awgn_capacity(budget, prob.hop2.n0), None, 0.0
+    W2 = prob.hop2.transition
+    cost, budget = ((np.zeros(W2.shape[0]), np.inf) if prob.c2 is None
+                    else (prob.c2.values, budget))
     try:
-        res = _capacity(prob.hop2, prob.c2, budget, _SOLVE_TOL_BITS)
+        r, bits, _, _, gap = _ba(W2, cost, budget, tol=_SOLVE_TOL_BITS)
     except InfeasibleError:
         return 0.0, None, 0.0
-    return res.capacity_bits, res.input_pmf, res.gap_bits
+    return bits, Pmf(r), gap
 
 
 def mhc_capacity(prob: MhcProblem) -> MhcSolution:
@@ -85,15 +87,15 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     maximising I(p) + mu*beta.p within budget harvests more and carries less,
     so f(mu) = I(p_mu) - C2(beta.p_mu + P2) falls.  mu doubles from 1 until
     f <= 0, then Illinois steps (regula falsi halving the f of an end kept
-    twice; the midpoint if it leaves the bracket) narrow [lo, hi].  A pmf
-    harvesting more than p_mu carries at most I(p_mu) + gap, one harvesting
-    less gets at most C2(beta.p_mu + P2) + gap2 (gap: the kernel's, gap2: the
-    C2 solve's), so I + gap + gap2 at lo and C2 + gap + gap2 at hi cap the
-    optimum, as do I(p_0) + gap and C2 + gap2 at the largest harvest.  Solves
-    stop within BA_TOL_BITS/4, and the search once the least cap is within
-    BA_TOL_BITS of the best rate, the best rate reaches the least value behind
-    a cap, that cap less the gaps it counts (then only those gaps remain), or
-    p_mu harvests all it can with f > 0.
+    twice; the midpoint if it leaves the bracket) narrow [lo, hi] from lo = 0
+    and f(0).  A pmf harvesting more than p_mu carries at most I(p_mu) + gap,
+    one harvesting less gets at most C2(beta.p_mu + P2) + gap2 (gap: the
+    kernel's, gap2: the C2 solve's), so I + gap + gap2 at lo and
+    C2 + gap + gap2 at hi cap the optimum, as do I(p_0) + gap and C2 + gap2
+    at the largest harvest.  Solves stop within BA_TOL_BITS/4, and the search
+    once the least cap is within BA_TOL_BITS of the best rate, the best rate
+    reaches the least value behind a cap, that cap less the gaps it counts
+    (then only those gaps remain), or p_mu harvests all it can with f > 0.
     gap_bits, that cap minus the rate, exceeds BA_TOL_BITS only if a solve
     hit BA_MAX_ITER or the bracket ran out of floats.
     """
@@ -114,9 +116,8 @@ def mhc_capacity(prob: MhcProblem) -> MhcSolution:
     if i1 > c2:  # hop 2 binds at mu = 0 (else p_0 is optimal): buy harvest
         e_max = (_budget_vertices(c1, prob.p1_budget) @ beta).max()
         top = max(float(e_max) + prob.p2_budget, best[2])
-        if top != best[2]:
-            c2, _, gap2 = _second_hop_capacity(prob, top)
-        upper_c, least = c2 + gap2, min(i1, c2)  # least: the least cap less its gaps
+        c_top, _, gap_top = (c2, None, gap2) if top == best[2] else _second_hop_capacity(prob, top)
+        upper_c, least = c_top + gap_top, min(i1, c_top)  # least: the least cap less its gaps
         lo, hi, f_lo, f_hi, last, harvest = 0.0, None, i1 - c2, None, None, best[2]
         for _ in range(_MU_STEPS):  # no larger mu lowers upper_c once p_mu harvests e_max
             if (min(upper_i, upper_c) - best[0] < BA_TOL_BITS or best[0] >= least

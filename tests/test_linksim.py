@@ -558,6 +558,18 @@ class TestEnergyMarkovBound:
         rep = ie.SimReport(10, 5, 0, 0.5, 0.0, float("nan"), float("nan"), 0.0)
         assert not ie.check_energy_markov_bound(rep, 2.0, 0.1)
 
+    def test_rejects_a_report_without_shortfall_frequency(self):
+        """simulate_mhc_harvest measures no viol_freq (NaN), which the bound
+        used to read as a violation and answer False."""
+        cb = ie.generate_codebook(ie.Pmf.uniform(4), 64, 4.0 / 64, alphabet=FOUR_LEVELS,
+                                  cost=SQUARES, budget=4.0, seed=3)
+        rep = ie.simulate_mhc_harvest(cb, ie.DmPointToPointSampler(
+            ie.DmChannel.noiseless(FOUR_LEVELS)), ie.ScalingGaussianRelay(), SQUARES_B,
+            0.0, 20, seed=3)
+        assert rep.mean_bn > 1.0
+        with pytest.raises(ValueError, match="viol_freq"):
+            ie.check_energy_markov_bound(rep, 1.0, 0.1)
+
 
 class OverspendingRelay(ie.ScalingGaussianRelay):
     """Spends its budget plus extra, up to rounding in the last places."""

@@ -59,20 +59,38 @@ def make_dm_dm_instance(kind: str) -> ie.MhcProblem:
 
 
 def count_solves(monkeypatch):
-    """Count mhc_capacity's hop-1 Blahut-Arimoto runs and its hop-2 solves."""
+    """Count mhc_capacity's hop-1 Blahut-Arimoto runs and its hop-2 solves.
+
+    Both hops call multihop._ba; a call counts as hop 1 only while no
+    _second_hop_capacity call is running.  counts["log"] lists each solve in
+    the order it returned: ("hop1", gain, I in bits) or ("hop2", budget, C2)."""
     from infoenergy import multihop
 
-    counts = {"hop1": 0, "hop2": 0}
+    counts = {"hop1": 0, "hop2": 0, "log": []}
+    in_hop2 = False
+    real_ba, real_hop2 = multihop._ba, multihop._second_hop_capacity
 
-    def counted(name, real):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-        return call
+    def ba(W, cost, budget, gain=0.0, *args, **kwargs):
+        hop1 = not in_hop2
+        counts["hop1"] += hop1
+        out = real_ba(W, cost, budget, gain, *args, **kwargs)
+        if hop1:
+            counts["log"].append(("hop1", gain, out[1]))
+        return out
 
-    monkeypatch.setattr(multihop, "_ba", counted("hop1", multihop._ba))
-    monkeypatch.setattr(multihop, "_second_hop_capacity",
-                        counted("hop2", multihop._second_hop_capacity))
+    def hop2(prob, budget):
+        nonlocal in_hop2
+        counts["hop2"] += 1
+        in_hop2 = True
+        try:
+            out = real_hop2(prob, budget)
+        finally:
+            in_hop2 = False
+        counts["log"].append(("hop2", budget, out[0]))
+        return out
+
+    monkeypatch.setattr(multihop, "_ba", ba)
+    monkeypatch.setattr(multihop, "_second_hop_capacity", hop2)
     return counts
 
 
@@ -347,6 +365,29 @@ class TestMhcCapacity:
             assert sol.gap_bits <= BA_TOL_BITS
             assert sol.input_pmf.probs @ prob.c1.values <= prob.p1_budget + 1e-12
         assert counts["hop1"] <= 110 and counts["hop2"] <= 140
+
+    def test_bracket_starts_from_f_at_zero(self, monkeypatch):
+        """On pair 5 hop 2 binds at mu = 0 (I = 0.4214, C2 = 0) and the solve
+        at the largest harvest gives C2 = 0.5739.  The search used to start
+        its bracket from I(p_0) minus that C2, of the wrong sign, so its step
+        after mu = 1 fell back to the midpoint 0.5; regula falsi from f(0)
+        and f(1) gives 0.5253."""
+        prob = list(random_relay_pairs())[5]
+        counts = count_solves(monkeypatch)
+        ie.mhc_capacity(prob)
+        log = counts["log"]
+        shifted = capacity.LN2 * (prob.hop1.transition @ prob.b.values)
+        shifted -= shifted.max()
+        k = np.argmin(shifted)
+        # Each hop-1 solve (gain mu*shifted) is followed by the hop-2 solve
+        # at its harvest.
+        steps = [(gain[k] / shifted[k], bits - log[i + 1][2])
+                 for i, (hop, gain, bits) in enumerate(log) if hop == "hop1"]
+        (mu0, f0), (mu1, f1), (mu2, _) = steps[:3]
+        assert (mu0, mu1) == (0.0, 1.0)
+        assert f0 == pytest.approx(0.42141, abs=1e-5) and f1 < 0
+        assert mu2 == pytest.approx((mu0 * f1 - mu1 * f0) / (f1 - f0), rel=1e-12)
+        assert mu2 == pytest.approx(0.5253, abs=1e-4)
 
     def test_relabelling_first_hop_inputs(self):
         """Permuting hop 1's input symbols, with their costs, moves nothing
