@@ -15,8 +15,10 @@ import numpy as np
 
 from .closedform import AlphabetMismatchError, ChannelFormatError, InfeasibleError
 
-# Probability vectors within this tolerance of summing to 1 are renormalized
-# exactly; anything further off is rejected.
+# Probability vectors within this tolerance of summing to 1 are accepted and
+# anything further off is rejected.  A vector whose sum is within size*eps of 1
+# (the rounding of a normalised one) is kept bit for bit, so a solver's pmf is
+# the vector it measured; one further off is rescaled to sum to 1.
 PMF_TOL = 1e-9
 
 CHANNEL_FILE_KEYS = {"input_alphabets", "output_alphabet", "transition", "cost", "energy"}
@@ -62,7 +64,8 @@ class Pmf:
         total = arr.sum()
         if abs(total - 1.0) > PMF_TOL:
             raise ValueError(f"pmf entries sum to {float(total)!r}, not 1")
-        arr /= total
+        if abs(total - 1.0) > arr.size * np.finfo(float).eps:
+            arr /= total
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 

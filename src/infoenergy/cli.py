@@ -3,7 +3,8 @@
 One subcommand per reproduction artifact, each a pure function of its flags,
 input file, and seed: rerunning an invocation writes byte-identical output.
 Each subcommand loads its channel files, solves, and returns its output text;
-`run` writes that text to --out or stdout.
+`run` writes that text to --out or stdout.  `_COMMANDS` declares each
+subcommand once: its help, the flags it reads and its function.
 Exit codes: 0 success, 2 invalid arguments or an unwritable --out, 3
 infeasible problem, 4 malformed channel file.
 """
@@ -80,56 +81,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Capacity-energy trade-offs for multi-user channels "
                     "with received-energy constraints.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *names):
-        if "P" in names:
-            p.add_argument("--P", type=_finite, default=1.0, help="per-sender power budget")
-        if "P1" in names:
-            p.add_argument("--P1", type=_finite, default=4.0, help="first cost budget")
-        if "P2" in names:
-            p.add_argument("--P2", type=_finite, default=0.0, help="second cost budget")
-        if "b" in names:
-            p.add_argument("--b-min", type=_finite, default=0.0, help="energy target range start")
-            p.add_argument("--b-max", type=_finite, default=None, help="energy target range end")
-        if "snr" in names:
-            p.add_argument("--snr-min", type=_finite, default=-20.0)
-            p.add_argument("--snr-max", type=_finite, default=60.0)
-        if "steps" in names:
-            p.add_argument("--steps", type=int, default=51,
-                           help=f"grid points in the sweep (2 to {MAX_STEPS})")
-        if "q" in names:
-            p.add_argument("--q-size", type=int, default=4, choices=range(1, 6),
-                           help="time-sharing alphabet size")
-        if "sim" in names:
-            p.add_argument("--n", type=_at_least(1), default=1000, help="blocklength")
-            p.add_argument("--trials", type=_at_least(1), default=200)
-            p.add_argument("--seed", type=_at_least(0), default=0)
-            p.add_argument("--eps", type=_finite, default=None,
-                           help="energy slack (default 0.05*B)")
-        if "channel" in names:
-            p.add_argument("--channel", action="append", default=None,
-                           help="channel specification file (repeat for two hops)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("gaussian-mac", help="sum rate vs energy floor, Gaussian two-sender")
-    common(p, "P", "b", "steps")
-
-    p = sub.add_parser("mac-region", help="discrete two-sender region boundary sweep")
-    common(p, "P1", "P2", "b", "steps", "q", "channel")
-
-    p = sub.add_parser("mhc", help="two-hop capacity with a harvesting relay")
-    common(p, "P1", "P2", "channel")
-
-    p = sub.add_parser("mhc-example", help="four-level relay example across SNR")
-    common(p, "P1", "P2", "snr", "steps")
-    p.add_argument("--snr-log10", action="store_true",
-                   help="map SNR to N0 with base-10 instead of base-2 logs")
-
-    p = sub.add_parser("simulate-mac", help="Monte Carlo received-energy check")
-    common(p, "P", "b", "sim", "channel")
-
-    p = sub.add_parser("simulate-mhc", help="Monte Carlo relay budget check")
-    common(p, "P1", "P2", "sim", "channel")
+    flags = {  # add_argument keywords by dest; the option string is --dest, "_" as "-"
+        "P": dict(type=_finite, default=1.0, help="per-sender power budget"),
+        "P1": dict(type=_finite, default=4.0, help="first cost budget"),
+        "P2": dict(type=_finite, default=0.0, help="second cost budget"),
+        "b_min": dict(type=_finite, default=0.0, help="energy target range start"),
+        "b_max": dict(type=_finite, default=None, help="energy target range end"),
+        "snr_min": dict(type=_finite, default=-20.0),
+        "snr_max": dict(type=_finite, default=60.0),
+        "steps": dict(type=int, default=51, help=f"grid points in the sweep (2 to {MAX_STEPS})"),
+        "q_size": dict(type=int, default=4, choices=range(1, 6),
+                       help="time-sharing alphabet size"),
+        "n": dict(type=_at_least(1), default=1000, help="blocklength"),
+        "trials": dict(type=_at_least(1), default=200),
+        "seed": dict(type=_at_least(0), default=0),
+        "eps": dict(type=_finite, default=None, help="energy slack (default 0.05*B)"),
+        "channel": dict(action="append", default=None,
+                        help="channel specification file (repeat for two hops)"),
+        "snr_log10": dict(action="store_true",
+                          help="map SNR to N0 with base-10 instead of base-2 logs"),
+        "out": dict(default=None, help="output path (default stdout)"),
+    }
+    for name, (help_text, dests, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in dests:
+            p.add_argument("--" + dest.replace("_", "-"), **flags[dest])
     return parser
 
 
@@ -156,11 +132,12 @@ def _cmd_gaussian_mac(args):
 
 
 def _cmd_mac_region(args):
-    from .mac_region import MacProblem, mac_region_sweep
+    from .mac_region import MacProblem, mac_region_sweep, max_received_energy
     [(ch, costs, energy)] = _channels(args.channel, 1, mac=True)
-    b_max = args.b_max if args.b_max is not None else 0.0
-    grid = _sweep_grid(args.b_min, b_max, args.steps)
+    grid = None if args.b_max is None else _sweep_grid(args.b_min, args.b_max, args.steps)
     prob = MacProblem(ch, costs[0], costs[1], energy, args.P1, args.P2)
+    if grid is None:  # up to the largest received energy the budgets admit
+        grid = _sweep_grid(args.b_min, max_received_energy(prob)[0], args.steps)
     rows = mac_region_sweep(prob, grid, REGION_WEIGHTS, q_size=args.q_size)
     return _table("B,w1,w2,R1,R2,EbY,feasible", [
         (r.b_target, r.w1, r.w2, r.r1, r.r2, r.eb, r.feasible) for r in rows])
@@ -226,13 +203,22 @@ def _cmd_simulate_mhc(args):
                                            args.trials, args.seed))
 
 
+# Each subcommand: (help, the flags it reads in --help order, its function).
 _COMMANDS = {
-    "gaussian-mac": _cmd_gaussian_mac,
-    "mac-region": _cmd_mac_region,
-    "mhc": _cmd_mhc,
-    "mhc-example": _cmd_mhc_example,
-    "simulate-mac": _cmd_simulate_mac,
-    "simulate-mhc": _cmd_simulate_mhc,
+    "gaussian-mac": ("sum rate vs energy floor, Gaussian two-sender",
+                     ("P", "b_min", "b_max", "steps", "out"), _cmd_gaussian_mac),
+    "mac-region": ("discrete two-sender region boundary sweep",
+                   ("P1", "P2", "b_min", "b_max", "steps", "q_size", "channel", "out"),
+                   _cmd_mac_region),
+    "mhc": ("two-hop capacity with a harvesting relay", ("P1", "P2", "channel", "out"), _cmd_mhc),
+    "mhc-example": ("four-level relay example across SNR",
+                    ("P1", "P2", "snr_min", "snr_max", "steps", "out", "snr_log10"),
+                    _cmd_mhc_example),
+    "simulate-mac": ("Monte Carlo received-energy check",
+                     ("P", "b_min", "n", "trials", "seed", "eps", "channel", "out"),
+                     _cmd_simulate_mac),
+    "simulate-mhc": ("Monte Carlo relay budget check",
+                     ("P1", "P2", "n", "trials", "seed", "channel", "out"), _cmd_simulate_mhc),
 }
 
 
@@ -244,7 +230,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = _COMMANDS[args.command](args)
+        text = _COMMANDS[args.command][2](args)
     except ChannelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

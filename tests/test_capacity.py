@@ -144,6 +144,7 @@ class TestDmCapacityWithCost:
             assert res.capacity_bits == pytest.approx(
                 ie.mutual_information(res.input_pmf, ch), abs=1e-12)
             assert res.expected_cost <= budget
+            assert res.input_pmf.probs @ c <= budget
 
     def test_iteration_cap_shows_in_the_gap(self, monkeypatch):
         """A run cut off at BA_MAX_ITER reports a gap above BA_TOL_BITS."""

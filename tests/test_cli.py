@@ -1,7 +1,10 @@
 """Command-line front end: flags, exit codes, file handling."""
 
 import argparse
+import ast
+import inspect
 import json
+import textwrap
 
 import numpy as np
 import pytest
@@ -131,6 +134,16 @@ class TestMacRegionCommand:
         assert rc == 4
         assert where in capsys.readouterr().err
         assert not out.exists()
+
+    def test_default_sweep_ends_at_the_largest_received_energy(self, tmp_path, monkeypatch):
+        # The adder's largest E[b(Y)] is 2, at both inputs on symbol 1.
+        from infoenergy import mac_region
+        grids = []
+        monkeypatch.setattr(mac_region, "mac_region_sweep",
+                            lambda prob, grid, *args, **kwargs: grids.append(grid) or [])
+        assert run(["mac-region", "--channel", write_adder_file(tmp_path / "adder.json"),
+                    "--out", str(tmp_path / "region.csv")]) == 0
+        assert grids == [np.linspace(0.0, 2.0, 51).tolist()]
 
     def test_p2p_file_rejected(self, tmp_path):
         ch_path = write_bsc_file(tmp_path / "bsc.json")
@@ -369,13 +382,18 @@ class TestEverySubcommand:
         assert not out.exists()
 
 
+def subcommand_actions(command):
+    """The argparse actions of a subcommand, as the built parser declares them."""
+    parser = cli._build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[command]._actions
+
+
 def float_flags(command):
     """The option strings of a subcommand's float flags, checking that each
     one parses through cli._finite."""
-    parser = cli._build_parser()
-    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = []
-    for action in subparsers.choices[command]._actions:
+    for action in subcommand_actions(command):
         if action.type is cli._finite:
             flags.append(action.option_strings[0])
         else:
@@ -399,6 +417,26 @@ class TestNonFiniteFlags:
                 for value in ("nan", "inf", "-inf"):  # "=" keeps -inf from reading as a flag
                     assert run(argv + [f"{flag}={value}", "--out", str(out)]) == 2, (argv, flag)
                     assert "expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_each_subcommand_declares_exactly_the_flags_it_reads(self, command):
+        # `run` reads --out for every subcommand; each function reads the rest.
+        func = cli._COMMANDS[command][2]
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        declared = {a.dest for a in subcommand_actions(command)} - {"help", "out"}
+        assert read == declared
+
+    @pytest.mark.parametrize("argv", [["simulate-mac", "--b-max", "1"],
+                                      ["simulate-mhc", "--eps", "0.1"]])
+    def test_a_flag_the_subcommand_ignores_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "never.csv"
+        assert run(argv + ["--n", "8", "--trials", "2", "--out", str(out)]) == 2
+        assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -161,5 +161,6 @@ class TestMacMutualInformations:
             i1, i2, i_sum, _ = ie.mac_mutual_informations(pol, ch, b)
             assert 0 <= i1 <= i_sum + 1e-12
             assert 0 <= i2 <= i_sum + 1e-12
+            assert i_sum <= i1 + i2 + 1e-12
             assert i_sum <= np.log2(3) + 1e-12
             assert i1 <= min(np.log2(2), np.log2(3)) + 1e-12

@@ -363,7 +363,9 @@ class TestMhcCapacity:
             sol = ie.mhc_capacity(prob)
             assert sol.capacity_bits >= ie.cutset_joint_oracle(prob, steps=21)
             assert sol.gap_bits <= BA_TOL_BITS
-            assert sol.input_pmf.probs @ prob.c1.values <= prob.p1_budget + 1e-12
+            assert sol.input_pmf.probs @ prob.c1.values <= prob.p1_budget
+            harvest = sol.input_pmf.probs @ (prob.hop1.transition @ prob.b.values)
+            assert harvest + prob.p2_budget == sol.harvested_budget
         assert counts["hop1"] <= 110 and counts["hop2"] <= 140
 
     def test_bracket_starts_from_f_at_zero(self, monkeypatch):
