@@ -186,7 +186,8 @@ class DmChannel:
             raise ValueError(
                 f"transition row {bad[0]} has an entry that is not finite and nonnegative")
         rows = np.where(rows < np.finfo(float).tiny, 0.0, rows)  # flush subnormals
-        sums = rows.sum(axis=1)
+        with np.errstate(over="ignore"):  # a row of huge entries sums to inf
+            sums = rows.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > PMF_TOL)
         if bad.size:
             raise ValueError(
@@ -253,11 +254,12 @@ def expected_received_energy(p1: Pmf, p2: Pmf, ch: DmChannel, b: EnergyFn) -> fl
 #   cost            : per-input-symbol table, one list per input alphabet
 #                     (a flat list is accepted for single-input channels)
 #   energy          : per-output-symbol table
-# Unknown keys are rejected.
+# Unknown keys are rejected.  Every number reads as a float, so an integer
+# beyond the float range is non-finite.
 
 
 def load_channel_file(path):
-    """Parse and validate a channel file.
+    """Parse and validate a UTF-8 JSON channel file; every number reads as a float.
 
     Returns (DmChannel, tuple of CostFn, EnergyFn).  Raises
     ChannelFormatError with a row-precise message on any violation.
@@ -265,14 +267,16 @@ def load_channel_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ChannelFormatError(f"{path}: cannot read ({exc})") from exc
     if not text.strip():
         raise ChannelFormatError(f"{path}: file is empty")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)  # so `type(v) is float` tests a number
     except json.JSONDecodeError as exc:
         raise ChannelFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ChannelFormatError(f"{path}: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ChannelFormatError(f"{path}: top level must be an object")
 
@@ -283,15 +287,17 @@ def load_channel_file(path):
     if missing:
         raise ChannelFormatError(f"{path}: missing keys {sorted(missing)}")
 
-    def _numbers(val, what):
-        if not isinstance(val, list) or not val or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in val
-        ):
+    def _number_list(val):
+        return isinstance(val, list) and val and all(type(v) is float for v in val)
+
+    def _numbers(val, what, size=None):
+        if not _number_list(val):
             raise ChannelFormatError(f"{path}: {what} must be a nonempty list of numbers")
-        vals = [float(v) for v in val]
-        if not np.isfinite(vals).all():
+        if not np.isfinite(val).all():
             raise ChannelFormatError(f"{path}: {what} holds a non-finite number")
-        return vals
+        if size is not None and len(val) != size:
+            raise ChannelFormatError(f"{path}: {what} has {len(val)} entries, expected {size}")
+        return val
 
     def _built(where, make, *args):
         """make(*args), with its ValueError re-raised as a format error."""
@@ -310,45 +316,27 @@ def load_channel_file(path):
     out_alpha = _built("output_alphabet: ", Alphabet,
                        _numbers(doc["output_alphabet"], "output_alphabet"))
 
-    n_rows = int(np.prod([len(a) for a in in_alphas]))
     n_out = len(out_alpha)
+    shape = tuple(len(a) for a in in_alphas) + (n_out,)
+    n_rows = int(np.prod(shape[:-1]))
     raw_rows = doc["transition"]
     if not isinstance(raw_rows, list) or len(raw_rows) != n_rows:
         raise ChannelFormatError(
             f"{path}: transition must have {n_rows} rows, got "
             f"{len(raw_rows) if isinstance(raw_rows, list) else type(raw_rows).__name__}"
         )
-    matrix = np.empty((n_rows, n_out))
-    for r, row in enumerate(raw_rows):
-        vals = _numbers(row, f"transition row {r}")
-        if len(vals) != n_out:
-            raise ChannelFormatError(
-                f"{path}: transition row {r} has {len(vals)} entries, expected {n_out}"
-            )
-        matrix[r] = vals
-    shape = tuple(len(a) for a in in_alphas) + (n_out,)
-    channel = _built("", DmChannel, in_alphas, out_alpha, matrix.reshape(shape))
+    rows = [_numbers(row, f"transition row {r}", n_out) for r, row in enumerate(raw_rows)]
+    channel = _built("", DmChannel, in_alphas, out_alpha, np.reshape(rows, shape))
 
     raw_cost = doc["cost"]
-    if raw_cost and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw_cost):
+    if _number_list(raw_cost):
         raw_cost = [raw_cost]  # flat form, single-input channels only
     if not isinstance(raw_cost, list) or len(raw_cost) != len(in_alphas):
         raise ChannelFormatError(f"{path}: cost must hold one table per input alphabet")
-    costs = []
-    for k, table in enumerate(raw_cost):
-        vals = _numbers(table, f"cost table {k}")
-        if len(vals) != len(in_alphas[k]):
-            raise ChannelFormatError(
-                f"{path}: cost table {k} has {len(vals)} entries, expected {len(in_alphas[k])}"
-            )
-        costs.append(_built(f"cost table {k}: ", CostFn, vals))
-
-    energy_vals = _numbers(doc["energy"], "energy")
-    if len(energy_vals) != n_out:
-        raise ChannelFormatError(
-            f"{path}: energy has {len(energy_vals)} entries, expected {n_out}"
-        )
-    return channel, tuple(costs), _built("energy: ", EnergyFn, energy_vals)
+    costs = tuple(_built(f"cost table {k}: ", CostFn, _numbers(t, f"cost table {k}", len(a)))
+                  for k, (t, a) in enumerate(zip(raw_cost, in_alphas)))
+    energy = _numbers(doc["energy"], "energy", n_out)
+    return channel, costs, _built("energy: ", EnergyFn, energy)
 
 
 def save_channel_file(path, ch: DmChannel, costs, energy: EnergyFn):

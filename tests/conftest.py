@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -59,6 +60,38 @@ def negative_entry_doc(doc, field):
     else:
         doc["energy"][1] = -1.0
     return doc
+
+
+# A valid point-to-point channel document: the binary symmetric channel.
+BSC_DOC = {
+    "input_alphabets": [[0.0, 1.0]],
+    "output_alphabet": [0.0, 1.0],
+    "transition": [[0.9, 0.1], [0.1, 0.9]],
+    "cost": [[0.0, 0.0]],
+    "energy": [0.0, 1.0],
+}
+
+
+def _bsc_text(**fields) -> str:
+    return json.dumps({**BSC_DOC, **fields})
+
+
+# Malformed channel files: case -> (file bytes, a fragment of the load error).
+MALFORMED_CHANNEL_FILES = {
+    "scalar cost": (_bsc_text(cost=5).encode(), "cost must hold one table per input alphabet"),
+    "bool cost": (_bsc_text(cost=True).encode(), "cost must hold one table per input alphabet"),
+    "huge scalar cost": (_bsc_text(cost=1e308).encode(),
+                         "cost must hold one table per input alphabet"),
+    "integer beyond the float range": (
+        _bsc_text(energy=[0.0, 10**400]).encode(), "energy holds a non-finite number"),
+    "integer of 5,000 digits": (
+        _bsc_text(energy=[0.0, "N"]).replace('"N"', "1" * 5000).encode(),
+        "energy holds a non-finite number"),
+    "byte that is not UTF-8": (b"\xff" + _bsc_text().encode(), "cannot read ("),
+    "100,000 nested lists": (b"[" * 100_000, "nested too deeply"),
+    "row sum beyond the float range": (_bsc_text(transition=[[1e308, 1e308], [0.1, 0.9]]).encode(),
+                                       "transition row 0 sums to inf, not 1"),
+}
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import infoenergy as ie
+from infoenergy.capacity import _ba
 from infoenergy.cli import run
 from conftest import binary_entropy, make_random_mac_instance
 from test_multihop import DM_DM_KINDS, make_dm_dm_instance
@@ -244,3 +245,21 @@ def test_criterion_12_cli_determinism(tmp_path):
     elapsed = time.time() - t0
     _announce(12, f"byte-identical reruns for {len(invocations)} "
                   f"subcommands ({elapsed:.1f}s)")
+
+
+def test_criterion_13_cooperative_ceiling(oracle_matrix):
+    """No sum rate beats the senders' joint-input optimum under the same
+    floor: one Blahut-Arimoto run on the channel from the input pair, with
+    E[b(Y)] >= B read as the budget E[-b] <= -B (the costs are zero)."""
+    rows, _ = oracle_matrix
+    t0 = time.time()
+    sum_rows = [row for row in rows if row[2:4] == (1.0, 1.0)]
+    for seed, b_target, _, _, v4, v5, vo in sum_rows:
+        prob = make_random_mac_instance(seed)
+        V = prob.channel.transition.reshape(-1, len(prob.b))
+        _, bits, _, _, gap = _ba(V, -(V @ prob.b.values), -b_target)
+        for value in (v4, v5, vo):
+            assert value <= bits + gap + 1e-12, (seed, b_target, value, bits, gap)
+    elapsed = time.time() - t0
+    _announce(13, f"{3 * len(sum_rows)} sum rates at most their cooperative "
+                  f"ceiling ({elapsed:.2f}s)")

@@ -1,12 +1,14 @@
 """Probability/channel primitives and the channel file format."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
 import infoenergy as ie
-from conftest import make_binary_adder, negative_entry_doc
+from conftest import (BSC_DOC, MALFORMED_CHANNEL_FILES, make_binary_adder,
+                      negative_entry_doc)
 
 
 class TestConstructors:
@@ -243,3 +245,53 @@ class TestChannelFile:
         del doc["energy"]
         with pytest.raises(ie.ChannelFormatError, match="missing"):
             ie.load_channel_file(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("case", MALFORMED_CHANNEL_FILES)
+    def test_malformed_file_raises_a_format_error_naming_it(self, tmp_path, case):
+        data, fragment = MALFORMED_CHANNEL_FILES[case]
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ie.ChannelFormatError) as info:
+            ie.load_channel_file(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert fragment in str(info.value)
+
+    def test_integer_literals_read_as_floats(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text('{"input_alphabets": [[0, 1]], "output_alphabet": [0, 1], '
+                        '"transition": [[1, 0], [0, 1]], "cost": [0, 2], "energy": [-0, 1]}')
+        ch, (cost,), energy = ie.load_channel_file(path)
+        np.testing.assert_array_equal(ch.transition, np.eye(2))
+        assert cost.values.tolist() == [0.0, 2.0]
+        assert np.signbit(energy.values[0])  # the literal -0 reads as -0.0
+
+    def test_mutated_documents_raise_only_format_errors(self, tmp_path):
+        """300 seeded documents, each with 1-3 values (whole lists too)
+        replaced; loading one may succeed or raise ChannelFormatError only."""
+        pool = [0, -1, 2.5, 1e308, True, False, None, "x", [], [[]], [0.5, [0.5]], 10**399]
+        rng = np.random.default_rng(3200)
+        path, escaped = tmp_path / "mutant.json", []
+        for k in range(300):
+            doc = copy.deepcopy([self._doc(), BSC_DOC][k % 2])
+            for _ in range(rng.integers(1, 4)):
+                paths = _paths(doc)
+                *parents, key = paths[rng.integers(1, len(paths))]
+                node = doc
+                for p in parents:
+                    node = node[p]
+                node[key] = copy.deepcopy(pool[rng.integers(len(pool))])
+            path.write_text(json.dumps(doc))
+            try:
+                ie.load_channel_file(path)
+            except ie.ChannelFormatError:
+                pass
+            except Exception as exc:  # the sweep lists every escape, then fails
+                escaped.append((k, type(exc).__name__, json.dumps(doc)[:200]))
+        assert escaped == []
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON document, the root's () first."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    return [path] + [p for key, child in children for p in _paths(child, path + (key,))]

@@ -12,7 +12,7 @@ import pytest
 import infoenergy as ie
 from infoenergy import cli
 from infoenergy.cli import run
-from conftest import binary_entropy, negative_entry_doc
+from conftest import MALFORMED_CHANNEL_FILES, binary_entropy, negative_entry_doc
 
 
 def write_adder_file(path):
@@ -219,6 +219,18 @@ class TestMhcCommand:
         bad.write_text("{not json")
         hop2 = write_bsc_file(tmp_path / "hop2.json")
         assert run(["mhc", "--channel", str(bad), "--channel", hop2]) == 4
+
+    @pytest.mark.parametrize("case", MALFORMED_CHANNEL_FILES)
+    def test_malformed_file_exits_4_naming_it(self, tmp_path, capsys, case):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(MALFORMED_CHANNEL_FILES[case][0])
+        out = tmp_path / "mhc.json"
+        assert run(["mhc", "--channel", str(bad), "--channel", str(bad), "--out", str(out)]) == 4
+        with pytest.raises(ie.ChannelFormatError) as info:
+            ie.load_channel_file(bad)
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert str(info.value).startswith(f"{bad}: ")
+        assert not out.exists()
 
 
 class TestMhcExampleCommand:
