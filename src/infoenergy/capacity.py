@@ -3,13 +3,15 @@
 The discrete solver, _ba, is one Blahut-Arimoto run whose every update is
 tilted by exp(-s*c(X)) with the least multiplier s >= 0 that keeps it within
 budget, so each iterate is feasible, and stops on Blahut's dual bound
-(gap_bits); every capacity solve here and in multihop is one _ba call.  Every
-solver here and in multihop, and mac_region's largest received energy, read a
-cost budget by _budget_rule, and its extreme pmfs by _budget_vertices.  Every
-budget, energy floor, largest harvest and relay spend in the package counts
-as met within BUDGET_TOL = 1e-12 (absolute), defined in closedform with the
-test of a budget below the cheapest cost.  With a gain per symbol _ba traces
-the relay's information-energy frontier.  The Gaussian case is closed form.
+(gap_bits); every capacity solve here, in multihop and in mac_region's
+exact single-user points is one _ba call.  Every solver here and in
+multihop, and mac_region's largest received energy, read a cost budget by
+_budget_rule, and its extreme pmfs by _budget_vertices.  Every budget,
+energy floor, largest harvest and relay spend in the package counts as met
+within BUDGET_TOL = 1e-12 (absolute), defined in closedform with the test of
+a budget below the cheapest cost.  With a gain per symbol _ba traces the
+relay's information-energy frontier and each partner symbol's frontier at a
+single-user MAC point.  The Gaussian case is closed form.
 """
 
 from __future__ import annotations

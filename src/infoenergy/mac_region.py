@@ -12,9 +12,14 @@ result.  Both reuse exactly the bits a recomputation would give.  Stat
 tables are stat-major (a row per stat, a column per candidate), and the
 scorer skips the rows and zero-weight products that are exactly +-0.  The
 ascent and a brute-force grid enumerator, the independent test oracle, scan
-channel's simplex grids of pmfs.  A sweep's points are spread over the CPUs
-of the affinity mask, with the same rows on any number.  The Gaussian
-two-sender example's closed form lives in closedform and is re-exported here.
+channel's simplex grids of pmfs.  At a single-user weight (w1*w2 = 0) with
+q_size >= 2 and budgets that no symbol exceeds, the point is exact instead:
+refined by the partner's symbol, a policy mixes point-to-point pairs, and a
+search over one energy multiplier, every solve a capacity._ba run, returns
+at most two of them, certified within 2e-7 bits (gap_bits); the ascent
+solves every other point.  A sweep's points are spread over the CPUs of the
+affinity mask, with the same rows on any number.  The Gaussian two-sender
+example's closed form lives in closedform and is re-exported here.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._workers import fork_map
-from .capacity import _budget_vertices
+from .capacity import BA_TOL_BITS, LN2, _ba, _budget_vertices
 from .channel import CostFn, DmChannel, EnergyFn, Pmf, simplex_grid
 from .closedform import (BUDGET_TOL, GaussianMacSolution, GaussianSweepRow, InfeasibleError,
                          gaussian_mac_sweep, gaussian_mac_timeshare as _timeshare,
@@ -98,6 +103,9 @@ class MacBoundaryResult:
     policy: TimeSharingPolicy | None = None
     weighted_rate: float = 0.0
     reason: str = ""
+    # Certified upper bound on the weighted rate minus weighted_rate; None
+    # when the point comes with no certificate (the coordinate ascent).
+    gap_bits: float | None = None
 
 
 @dataclass
@@ -458,6 +466,111 @@ def _bracket_seed(inst: _Instance, k: int, p1e, p2e, lo, budget: int):
     return q, a1, a2
 
 
+# ---------------------------------------------------------------------------
+# Exact single-user points
+# ---------------------------------------------------------------------------
+
+# The exact single-user solve stops once its certified bound is within
+# _EXACT_TOL_BITS of its value, or after _TILT_STEPS multipliers; each of its
+# Blahut-Arimoto runs stops within _SOLVE_TOL_BITS, so its pairs fall short
+# of their symbol's optimum by less than that.
+_EXACT_TOL_BITS = 2 * BA_TOL_BITS
+_SOLVE_TOL_BITS = BA_TOL_BITS / 4
+_TILT_STEPS = 100
+
+
+def _single_user_point(prob: MacProblem, w1: float, w2: float) -> MacBoundaryResult:
+    """Exact boundary point at w1*w2 = 0 when no cost budget can bind.
+
+    Refine Q by the partner's symbol k: a policy is then a mixture of pairs
+    (p, k), each worth I(p; V_k), with V_k the active sender's channel given
+    k and E = p.bbar_k its mean received energy.  The floor is linear in the
+    mixture weights, so the optimum is min over s >= 0 of
+    L(s) = max over k, p of I(p; V_k) + s*(E - B)/ln2 (s in nats per energy
+    unit), attained by mixing at most two pairs; a Blahut bound on each
+    inner maximum bounds L(s).  Step 1: each symbol's untilted pair; the
+    best wins if it meets B.  Step 2: each symbol's pair at the floor (one
+    _ba run with E >= B read as E[-bbar] <= -B); the best one's tilt s0 is
+    the first multiplier tried.  Step 3: the next s is where the lines
+    I + s*E/ln2 of the last pairs below and above the floor cross, the
+    least of the two-line model of L, at which their mixture meeting B is
+    the primal; an s outside the bracket of multipliers known to lead below
+    and above the floor halves it, or doubles lo while none leads above.
+    It stops once the least bound is within _EXACT_TOL_BITS of the best
+    value; gap_bits reports that distance whichever step returns.
+    """
+    W = prob.channel.transition
+    Vs = W.transpose(1, 0, 2) if w2 == 0 else W  # Vs[k]: the active sender's channel
+    bbar = Vs @ prob.b.values  # (partner symbol, active symbol): mean energy
+    B, zero = prob.b_target, np.zeros(Vs.shape[1])
+
+    def tilted(s, known=None):
+        """Per symbol k, (I, E, k, r, bound of its L(s) term) at the pmf r
+        maximising I + s*E/ln2; known stands in for its own symbol."""
+        pairs = []
+        for k, V in enumerate(Vs):
+            if known is not None and known[2] == k:
+                pairs.append(known)
+                continue
+            r, info, _, _, gap = _ba(V, zero, np.inf, s * bbar[k], _SOLVE_TOL_BITS)
+            e = float(r @ bbar[k])
+            pairs.append((info, e, k, r, info + gap + s * (e - B) / LN2))
+        return pairs
+
+    def finish(parts, bound):
+        q = np.array([lam for lam, _ in parts])
+        act = np.array([pair[3] for _, pair in parts])
+        partner = np.eye(len(Vs))[[pair[2] for _, pair in parts]]
+        res = _result_from_policy(prob, w1, w2, q, *((act, partner) if w2 == 0
+                                                     else (partner, act)))
+        res.gap_bits = max((w1 + w2) * bound - res.weighted_rate, 0.0)  # one weight is 0
+        return res
+
+    pairs = tilted(0.0)
+    upper = max(p[4] for p in pairs)
+    below = max(pairs, key=lambda p: p[:2])  # the most energy among equal rates
+    if below[1] >= B:
+        return finish([(1.0, below)], upper)
+
+    fits = []  # (pair at the floor, its tilt) for each symbol that can reach B
+    for k, V in enumerate(Vs):
+        try:
+            r, info, s, _, gap = _ba(V, -bbar[k], -B, tol=_SOLVE_TOL_BITS)
+        except InfeasibleError:
+            continue
+        fits.append(((info, float(r @ bbar[k]), k, r, info + gap), s))
+    top, s = max(fits, key=lambda f: f[0][0])
+    if all(f[1] == np.inf for f in fits):
+        # B is within BUDGET_TOL of every reachable top energy: each fit is
+        # pinned to its symbols of largest energy, and the best one is exact.
+        return finish([(1.0, top)], max(f[0][4] for f in fits))
+
+    value, parts, above = top[0], [(1.0, top)], top
+    lo, hi = 0.0, np.inf  # multipliers known to lead below and above the floor
+    known = top if s < np.inf else None
+    for _ in range(_TILT_STEPS):
+        if known is None:
+            s = LN2 * (below[0] - above[0]) / (above[1] - below[1])
+            if not lo < s < hi:
+                s = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo or 1.0
+                if not lo < s < hi:
+                    break
+        pairs, known = tilted(s, known), None
+        upper = min(upper, max(p[4] for p in pairs))
+        lead = max(pairs, key=lambda p: p[0] + s * p[1] / LN2)
+        if lead[1] < B:
+            lo, below = s, lead
+        else:
+            hi, above = s, lead
+        lam = (B - below[1]) / (above[1] - below[1])  # above's share
+        mix = (1.0 - lam) * below[0] + lam * above[0]
+        if mix > value:
+            value, parts = mix, [(1.0 - lam, below), (lam, above)]
+        if upper - value <= _EXACT_TOL_BITS:
+            break
+    return finish(parts, upper)
+
+
 def _check_weights(w1: float, w2: float):
     if not (0 <= w1 < np.inf and 0 <= w2 < np.inf) or w1 == w2 == 0:
         raise ValueError("weights must be finite, nonnegative and not both zero")
@@ -487,6 +600,9 @@ def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
     if prob.b_target > e_max + BUDGET_TOL:
         return MacBoundaryResult(
             False, reason=f"energy target {prob.b_target} exceeds max achievable {e_max:.6g}")
+    if ((w1 == 0 or w2 == 0) and q_size >= 2 and (prob.c1.values <= prob.p1_budget).all()
+            and (prob.c2.values <= prob.p2_budget).all()):
+        return _single_user_point(prob, w1, w2)
 
     inst = _Instance(prob, w1, w2)
     rng = np.random.default_rng(RNG_SEED)

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import infoenergy as ie
+from infoenergy.capacity import _ba
 
 
 def make_binary_adder():
@@ -37,6 +39,28 @@ def make_random_mac_instance(seed: int) -> ie.MacProblem:
     b = ie.EnergyFn(rng.uniform(0.0, 2.0, size=3))
     zero = ie.CostFn([0.0, 0.0])
     return ie.MacProblem(ch, zero, zero, b, 0.0, 0.0)
+
+
+@lru_cache(maxsize=None)
+def q2_oracle_rate(instance, b_target: float, w1: float, w2: float) -> float:
+    """brute_force_mac_oracle's weighted rate at q_size=2, steps=21 (its size
+    guard) on the adder (instance "adder") or the acceptance instance of that
+    seed; cached, as the acceptance and solver suites ask for the same points."""
+    prob = make_adder_problem() if instance == "adder" else make_random_mac_instance(instance)
+    res = ie.brute_force_mac_oracle(prob.with_target(b_target), w1, w2, q_size=2, steps=21)
+    return res.weighted_rate
+
+
+def cooperative_ceiling(prob: ie.MacProblem, b_target: float) -> float:
+    """The senders' joint-input optimum under the floor B, plus its dual gap.
+
+    One Blahut-Arimoto run on the channel from the input pair, with
+    E[b(Y)] >= B read as the budget E[-b] <= -B (the costs must be zero).
+    No time-sharing of product pmfs beats it at weights of at most 1.
+    """
+    V = prob.channel.transition.reshape(-1, len(prob.b))
+    _, bits, _, _, gap = _ba(V, -(V @ prob.b.values), -b_target)
+    return bits + gap
 
 
 def make_bsc(crossover: float) -> ie.DmChannel:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import infoenergy as ie
-from conftest import make_adder_problem, make_random_mac_instance
+from conftest import (cooperative_ceiling, make_adder_problem, make_random_mac_instance,
+                      q2_oracle_rate)
 from infoenergy import mac_region as mr
 from infoenergy.capacity import BUDGET_TOL
 from infoenergy.metrics import entropy_bits
@@ -217,6 +218,120 @@ class TestMacRegionSweep:
         r0 = ie.mac_boundary_point(prob.with_target(0.0), 1.0, 1.0, q_size=2)
         rf = ie.mac_boundary_point(free, 1.0, 1.0, q_size=2)
         assert r0.weighted_rate == pytest.approx(rf.weighted_rate, abs=1e-9)
+
+
+SINGLE_USER = ((1.0, 0.0), (0.0, 1.0))
+EXACT_TOL_BITS = 2e-7
+
+
+def zero_cost_problem(W, b) -> ie.MacProblem:
+    n1, n2, ny = W.shape
+    ch = ie.DmChannel.mac(ie.Alphabet(np.arange(n1) * 1.0), ie.Alphabet(np.arange(n2) * 1.0),
+                          ie.Alphabet(np.arange(ny) * 1.0), W)
+    return ie.MacProblem(ch, ie.CostFn(np.zeros(n1)), ie.CostFn(np.zeros(n2)),
+                         ie.EnergyFn(b), 0.0, 0.0)
+
+
+def assert_certified(res, prob):
+    """An exact single-user result: certified, at most two pairs, on the floor."""
+    assert res.feasible and res.gap_bits is not None
+    assert 0.0 <= res.gap_bits <= EXACT_TOL_BITS
+    assert len(res.policy.inputs) <= 2
+    eby = ie.mac_mutual_informations(res.policy, prob.channel, prob.b)[3]
+    assert eby == res.triple.b >= prob.b_target - BUDGET_TOL
+
+
+@pytest.fixture(scope="module")
+def single_user_points():
+    """(label, problem, w, exact result, q=2 oracle value, cooperative ceiling)
+    on the adder and the acceptance instances at B in {0, 0.5, 0.9, 0.99}*Emax."""
+    rows = []
+    cases = [("adder", make_adder_problem())]
+    cases += [(seed, make_random_mac_instance(seed)) for seed in ACCEPTANCE_SEEDS]
+    for label, prob in cases:
+        emax = ie.max_received_energy(prob)[0]
+        for frac in (0.0, 0.5, 0.9, 0.99):
+            p = prob.with_target(frac * emax)
+            ceiling = cooperative_ceiling(p, p.b_target)
+            for w in SINGLE_USER:
+                rows.append((label, p, w, ie.mac_boundary_point(p, *w),
+                             q2_oracle_rate(label, p.b_target, *w), ceiling))
+    return rows
+
+
+class TestExactSingleUser:
+    """Single-user points with slack budgets: an energy-multiplier search
+    over capacity._ba, certified within 2e-7 bits."""
+
+    def test_between_the_oracle_and_the_cooperative_ceiling(self, single_user_points):
+        for label, p, w, res, oracle, ceiling in single_user_points:
+            assert_certified(res, p)
+            assert oracle <= res.weighted_rate <= ceiling + 1e-12, (label, p.b_target, w)
+
+    def test_mixture_beats_the_ascent_at_seed_2025(self, single_user_points):
+        """At 0.9*Emax and w = (0,1) the optimum mixes two partner symbols'
+        pairs; the coordinate ascent reaches 0.0875642 there."""
+        res = next(res for label, p, w, res, *_ in single_user_points
+                   if label == 2025 and w == (0.0, 1.0)
+                   and p.b_target == 0.9 * ie.max_received_energy(p)[0])
+        assert res.weighted_rate >= 0.0901424 - 1e-7
+        assert len(res.policy.inputs) == 2
+
+    def test_relabelled_inputs_give_the_same_rows(self):
+        """The coordinate ascent's rows of this instance move by up to 2.4e-4
+        bits under the same relabelling."""
+        rng = np.random.default_rng(3)
+        W, b = rng.dirichlet(np.ones(3), size=(3, 2)), rng.uniform(0.0, 2.0, size=3)
+        prob = zero_cost_problem(W, b)
+        emax = ie.max_received_energy(prob)[0]
+        moved = zero_cost_problem(W[[2, 0, 1]][:, [1, 0]], b)
+        for frac in (0.0, 0.5, 0.9, 0.99, 1.0):
+            for w in SINGLE_USER:
+                a = ie.mac_boundary_point(prob.with_target(frac * emax), *w)
+                c = ie.mac_boundary_point(moved.with_target(frac * emax), *w)
+                assert abs(a.weighted_rate - c.weighted_rate) <= 1e-9, (frac, w)
+
+    def test_at_and_just_below_the_largest_energy(self):
+        """The adder with b = (0, 1, 1): Emax = 1 leaves one sender free to
+        carry a bit while the other sends 1, at B = Emax and at Emax - 1e-13,
+        which the budget rule pins to the symbols of largest energy."""
+        prob = zero_cost_problem(make_adder_problem().channel.transition, [0.0, 1.0, 1.0])
+        assert ie.max_received_energy(prob)[0] == 1.0
+        for b_target in (1.0, 1.0 - 1e-13):
+            for w in SINGLE_USER:
+                p = prob.with_target(b_target)
+                res = ie.mac_boundary_point(p, *w)
+                assert_certified(res, p)
+                assert res.weighted_rate == pytest.approx(1.0, rel=0, abs=1e-12)
+        rand = make_random_mac_instance(2026)
+        emax = ie.max_received_energy(rand)[0]
+        for b_target in (emax, emax - 1e-13):
+            for w in SINGLE_USER:
+                p = rand.with_target(b_target)
+                res = ie.mac_boundary_point(p, *w)
+                assert_certified(res, p)
+                assert res.weighted_rate == pytest.approx(0.0, rel=0, abs=1e-12)
+
+    def test_q_size_1_keeps_the_ascent(self):
+        prob = make_random_mac_instance(2025)
+        prob = prob.with_target(0.9 * ie.max_received_energy(prob)[0])
+        res = ie.mac_boundary_point(prob, 0.0, 1.0, q_size=1)
+        # The ascent's value at q_size=1, bit for bit as without the exact path.
+        assert res.weighted_rate == float.fromhex("0x1.1d03abfaa2ebap-4")
+        assert res.gap_bits is None
+        assert ie.mac_boundary_point(prob, 1.0, 1.0).gap_bits is None
+
+    def test_only_slack_budgets_take_the_exact_path(self):
+        prob = make_random_mac_instance(2024)
+        prob = prob.with_target(0.9 * ie.max_received_energy(prob)[0])
+        free = ie.mac_boundary_point(prob, 1.0, 0.0)
+        slack = problem_with(prob, [0.0, 1.0], [0.5, 0.2], 1.0, 0.5, prob.b_target)
+        res = ie.mac_boundary_point(slack, 1.0, 0.0)
+        assert res.gap_bits is not None and res.weighted_rate == free.weighted_rate
+        binding = problem_with(prob, [0.0, 1.0], [0.5, 0.2], 0.5, 0.5, 0.0)
+        binding = binding.with_target(0.5 * ie.max_received_energy(binding)[0])
+        res = ie.mac_boundary_point(binding, 1.0, 0.0)
+        assert res.feasible and res.gap_bits is None
 
 
 SWEEP_WEIGHTS = ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
