@@ -5,12 +5,12 @@ The discrete solver searches time-sharing policies (p(q), {p(x1|q)},
 refinement passes and multiple restarts; the energy and cost constraints are
 enforced by feasibility filtering, never by penalties.  The restarts of one
 boundary point share their work: a candidate block's stat table depends only
-on (stage, sender, centre pmf, partner pmf), so it is kept in a ring buffer
-and read back when the same block comes up again, and a restart that enters
-a stage in a state another restart already entered takes that restart's
-result.  Both reuse exactly the bits a recomputation would give.  Stat
-tables are stat-major (a row per stat, a column per candidate), and the
-scorer skips the rows and zero-weight products that are exactly +-0.  The
+on (stage, sender, centre pmf, partner pmf), so it is kept in a ring buffer,
+emptied when full, and read back when the same block comes up again, and a
+restart that enters a stage in a state another restart already entered takes
+that restart's result.  Both reuse exactly the bits a recomputation would
+give.  Stat tables are stat-major (a row per stat, a column per candidate),
+and the scorer skips the rows that no constraint reads.  The
 ascent and a brute-force grid enumerator, the independent test oracle, scan
 channel's simplex grids of pmfs.  At a single-user weight (w1*w2 = 0) with
 q_size >= 2 and budgets that no symbol exceeds, the point is exact instead:
@@ -126,8 +126,6 @@ def _ladder_candidates(grid: np.ndarray, center, stage: int, factor: int) -> np.
     factor**-i: a ladder keeps low-mass optima near the simplex boundary
     reachable, where a geometric shrink could only creep toward them.
     """
-    if center is None:
-        return grid
     scales = [1.0] if stage == 0 else [factor ** -stage * m for m in (4.0, 2.0, 1.0)]
     n = grid.shape[0]
     out = np.empty((1 + n * len(scales), grid.shape[1]))
@@ -233,14 +231,7 @@ def _block_stats(inst: _Instance, which: int, V: np.ndarray, p_fixed: np.ndarray
 
 
 def _corner_rates(i1, i2, i_sum, w1: float, w2: float):
-    """Best weighted rate over the pentagon {r1<=i1, r2<=i2, r1+r2<=i_sum}.
-
-    A zero weight's products (+-0) are skipped: w*max(a, b) = max(w*a, w*b).
-    """
-    if w2 == 0:
-        return w1 * np.maximum(np.minimum(i1, i_sum), np.maximum(i_sum - i2, 0.0))
-    if w1 == 0:
-        return w2 * np.maximum(np.maximum(i_sum - i1, 0.0), np.minimum(i2, i_sum))
+    """Best weighted rate over the pentagon {r1<=i1, r2<=i2, r1+r2<=i_sum}."""
     r2a = np.maximum(i_sum - i1, 0.0)
     r1b = np.maximum(i_sum - i2, 0.0)
     val_a = w1 * np.minimum(i1, i_sum) + w2 * r2a
@@ -255,14 +246,12 @@ def _better(a, b) -> bool:
 
 
 class _TableRing:
-    """FIFO cache of (6, N) stat tables in one buffer allocated up front.
+    """Cache of (6, N) stat tables in one buffer allocated up front.
 
-    Tables are written one after another; the write position wraps to column
-    0 when the next table would run past the end, and a put drops exactly the
-    tables whose columns it overwrites: spans keeps them in the order the write
-    position reaches them, so they are popped from its front.  An empty table
-    or one longer than the buffer is not kept.  A get returns a view that the
-    next put may overwrite.  One buffer keeps the heap from fragmenting.
+    Tables are written one after another; a table that would run past the
+    end empties the ring and is written at column 0.  An empty table or one
+    longer than the buffer is not kept.  A get returns a view that the next
+    put may overwrite.  One buffer keeps the heap from fragmenting.
     """
 
     def __init__(self, cols: int):
@@ -278,18 +267,11 @@ class _TableRing:
         n = table.shape[1]
         if not 0 < n <= self.buf.shape[1]:
             return
-        self.spans.pop(key, None)
         if self.pos + n > self.buf.shape[1]:
-            # Wrap: tables from pos on are now reached after those before it.
-            for k in [k for k, (a, _) in self.spans.items() if a >= self.pos]:
-                self.spans[k] = self.spans.pop(k)
-            self.pos = 0
-        hi = self.pos + n
-        while self.spans and self.pos <= next(iter(self.spans.values()))[0] < hi:
-            del self.spans[next(iter(self.spans))]
-        self.buf[:, self.pos:hi] = table
+            self.spans, self.pos = {}, 0
+        self.buf[:, self.pos:self.pos + n] = table
         self.spans[key] = (self.pos, n)
-        self.pos = hi
+        self.pos += n
 
 
 def _stage_key(stage: int, q, A1, A2, S):
@@ -374,16 +356,10 @@ def _result_from_policy(prob, w1, w2, q, A1, A2) -> MacBoundaryResult:
               for a, b_ in zip(A1, A2)),
     )
     i1, i2, i_sum, eb = mac_mutual_informations(pol, prob.channel, prob.b)
-    r2a = max(i_sum - i1, 0.0)
-    r1b = max(i_sum - i2, 0.0)
-    val_a = w1 * i1 + w2 * r2a
-    val_b = w1 * r1b + w2 * i2
-    if val_a > val_b + 1e-15 or (abs(val_a - val_b) <= 1e-15 and w1 >= w2):
-        r1, r2, val = i1, r2a, val_a
-    else:
-        r1, r2, val = r1b, i2, val_b
+    # I1 + I2 - Isum = I(X1;X2|Y,Q) >= 0: the heavier sender's corner is best.
+    r1, r2 = (i1, max(i_sum - i1, 0.0)) if w1 >= w2 else (max(i_sum - i2, 0.0), i2)
     triple = RateEnergyTriple(max(r1, 0.0), max(r2, 0.0), max(eb, 0.0))
-    return MacBoundaryResult(True, triple, pol, val)
+    return MacBoundaryResult(True, triple, pol, w1 * r1 + w2 * r2)
 
 
 def _product_scan(inst: _Instance, mus, budget: int):
@@ -497,7 +473,8 @@ def _single_user_point(prob: MacProblem, w1: float, w2: float) -> MacBoundaryRes
     the primal; an s outside the bracket of multipliers known to lead below
     and above the floor halves it, or doubles lo while none leads above.
     It stops once the least bound is within _EXACT_TOL_BITS of the best
-    value; gap_bits reports that distance whichever step returns.
+    value, or the value reaches that bound less the solves' gaps (then only
+    those gaps remain); gap_bits reports that distance whichever step returns.
     """
     W = prob.channel.transition
     Vs = W.transpose(1, 0, 2) if w2 == 0 else W  # Vs[k]: the active sender's channel
@@ -545,7 +522,7 @@ def _single_user_point(prob: MacProblem, w1: float, w2: float) -> MacBoundaryRes
         # pinned to its symbols of largest energy, and the best one is exact.
         return finish([(1.0, top)], max(f[0][4] for f in fits))
 
-    value, parts, above = top[0], [(1.0, top)], top
+    value, parts, above, least = top[0], [(1.0, top)], top, below[0]  # least: bound less gaps
     lo, hi = 0.0, np.inf  # multipliers known to lead below and above the floor
     known = top if s < np.inf else None
     for _ in range(_TILT_STEPS):
@@ -558,6 +535,7 @@ def _single_user_point(prob: MacProblem, w1: float, w2: float) -> MacBoundaryRes
         pairs, known = tilted(s, known), None
         upper = min(upper, max(p[4] for p in pairs))
         lead = max(pairs, key=lambda p: p[0] + s * p[1] / LN2)
+        least = min(least, lead[0] + s * (lead[1] - B) / LN2)
         if lead[1] < B:
             lo, below = s, lead
         else:
@@ -566,7 +544,7 @@ def _single_user_point(prob: MacProblem, w1: float, w2: float) -> MacBoundaryRes
         mix = (1.0 - lam) * below[0] + lam * above[0]
         if mix > value:
             value, parts = mix, [(1.0 - lam, below), (lam, above)]
-        if upper - value <= _EXACT_TOL_BITS:
+        if upper - value <= _EXACT_TOL_BITS or value >= least:
             break
     return finish(parts, upper)
 
@@ -618,19 +596,17 @@ def mac_boundary_point(prob: MacProblem, w1: float, w2: float,
         (np.full(k, 1.0 / k), np.tile(p1e, (k, 1)), np.tile(p2e, (k, 1))),
         (np.full(k, 1.0 / k), np.tile(u1, (k, 1)), np.tile(u2, (k, 1))),
     ]
-    pair, (untilted,) = _product_scan(inst, [0.0], MAX_BLOCK_CANDIDATES)
-    if pair is not None:
-        s1, s2 = pair
-        seeds.append((np.full(k, 1.0 / k), np.tile(s1, (k, 1)), np.tile(s2, (k, 1))))
-        for theta in (0.25, 0.5, 0.75):
-            seeds.append((np.full(k, 1.0 / k),
-                          np.tile((1 - theta) * s1 + theta * p1e, (k, 1)),
-                          np.tile((1 - theta) * s2 + theta * p2e, (k, 1))))
-        if k >= 2:
-            a1 = np.tile(s1, (k, 1))
-            a2 = np.tile(s2, (k, 1))
-            a1[-1], a2[-1] = p1e, p2e
-            seeds.append((np.full(k, 1.0 / k), a1, a2))
+    (s1, s2), (untilted,) = _product_scan(inst, [0.0], MAX_BLOCK_CANDIDATES)
+    seeds.append((np.full(k, 1.0 / k), np.tile(s1, (k, 1)), np.tile(s2, (k, 1))))
+    for theta in (0.25, 0.5, 0.75):
+        seeds.append((np.full(k, 1.0 / k),
+                      np.tile((1 - theta) * s1 + theta * p1e, (k, 1)),
+                      np.tile((1 - theta) * s2 + theta * p2e, (k, 1))))
+    if k >= 2:
+        a1 = np.tile(s1, (k, 1))
+        a2 = np.tile(s2, (k, 1))
+        a1[-1], a2[-1] = p1e, p2e
+        seeds.append((np.full(k, 1.0 / k), a1, a2))
     if k >= 2 and prob.b_target > 0:
         bracket = _bracket_seed(inst, k, p1e, p2e, untilted, MAX_BLOCK_CANDIDATES)
         if bracket is not None:

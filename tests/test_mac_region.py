@@ -321,6 +321,39 @@ class TestExactSingleUser:
         assert res.gap_bits is None
         assert ie.mac_boundary_point(prob, 1.0, 1.0).gap_bits is None
 
+    def test_a_stalled_solve_stops_the_search(self, monkeypatch):
+        """Given x2 = 0, sender 1 sees two nearly equal rows: every _ba run on
+        that channel stops at BA_MAX_ITER with a dual gap near 8.85e-6 bits,
+        so the certified bound never closes to 2e-7.  The search stops once
+        its value reaches the least bound less the solves' gaps, and the
+        distance it reports stays honest."""
+        W = np.array([[[0.9901810875520852, 0.00981891244791467],
+                       [0.3059451177998426, 0.6940548822001574]],
+                      [[0.988750112472445, 0.01124988752755487],
+                       [0.00104457168523213, 0.9989554283147678]]])
+        b = np.array([1.6232461637516906, 0.21571048053284025])
+        prob = zero_cost_problem(W, b)
+        emax = ie.max_received_energy(prob)[0]
+        # The points (I, E) of sender 1's binary pmfs on a grid, per x2.
+        p = np.linspace(0.0, 1.0, 1001)[:, None] * [-1.0, 1.0] + [1.0, 0.0]
+        info = np.concatenate([entropy_bits(p @ W[:, k]) - p @ entropy_bits(W[:, k])
+                               for k in (0, 1)])
+        energy = np.concatenate([p @ W[:, k] @ b for k in (0, 1)])
+        runs, real_ba = [], mr._ba
+        monkeypatch.setattr(mr, "_ba", lambda *a, **kw: runs.append(1) or real_ba(*a, **kw))
+        for frac in (0.5, 0.9):
+            runs.clear()
+            res = ie.mac_boundary_point(prob.with_target(frac * emax), 1.0, 0.0)
+            assert len(runs) <= 15, frac
+            assert res.feasible and len(res.policy.inputs) <= 2
+            assert EXACT_TOL_BITS < res.gap_bits < 1e-5, frac
+            # The best mixture of two grid points meeting the floor, a lower
+            # bound on the optimum, lies within the certified gap.
+            lo, hi = energy < frac * emax, energy >= frac * emax
+            lam = (frac * emax - energy[lo][:, None]) / (energy[hi] - energy[lo][:, None])
+            grid = (info[lo][:, None] + lam * (info[hi] - info[lo][:, None])).max()
+            assert res.weighted_rate - 1e-5 <= grid <= res.weighted_rate + res.gap_bits, frac
+
     def test_only_slack_budgets_take_the_exact_path(self):
         prob = make_random_mac_instance(2024)
         prob = prob.with_target(0.9 * ie.max_received_energy(prob)[0])
@@ -680,6 +713,37 @@ class TestScorer:
                                   ref_corner_rates(i1, i2, i_sum, *w))
 
 
+class TestResultFromPolicy:
+    def test_the_corner_is_a_best_pentagon_corner(self):
+        """The heavier sender's corner of {R1 <= I1, R2 <= I2, R1 + R2 <= Isum}
+        scores at least every corner, as I1 + I2 - Isum = I(X1;X2|Y,Q) >= 0."""
+        rng = np.random.default_rng(17)
+
+        def pmfs(n, rows):
+            a = rng.dirichlet(np.ones(n), size=rows)
+            a[rng.random(a.shape) < 0.3] = 0.0  # some symbols unused, some inputs fixed
+            a[a.sum(axis=1) == 0, 0] = 1.0
+            return a / a.sum(axis=1, keepdims=True)
+
+        for trial in range(60):
+            n1, n2, ny = rng.integers(2, 5, size=3)
+            W = rng.dirichlet(np.full(ny, 0.5), size=(n1, n2))
+            prob = zero_cost_problem(W, rng.uniform(0.0, 2.0, size=ny))
+            k = int(rng.integers(1, 5))
+            q, A1, A2 = rng.dirichlet(np.ones(k)), pmfs(n1, k), pmfs(n2, k)
+            for w1, w2 in TestScorer.WEIGHTS:
+                res = mr._result_from_policy(prob, w1, w2, q, A1.copy(), A2.copy())
+                i1, i2, i_sum, _ = ie.mac_mutual_informations(res.policy, prob.channel, prob.b)
+                i1, i2 = min(i1, i_sum), min(i2, i_sum)
+                corners = [(0.0, 0.0), (i1, 0.0), (i1, i_sum - i1), (i_sum - i2, i2), (0.0, i2)]
+                r1, r2 = res.triple.r1, res.triple.r2
+                assert any(abs(r1 - a) <= 1e-12 and abs(r2 - b) <= 1e-12
+                           for a, b in corners[2:4]), (trial, w1, w2)
+                assert res.weighted_rate == pytest.approx(w1 * r1 + w2 * r2, rel=0, abs=1e-12)
+                best = max(w1 * a + w2 * b for a, b in corners)
+                assert res.weighted_rate >= best - 1e-12, (trial, w1, w2)
+
+
 class TestProductScan:
     MUS8 = [0.3 * m for m in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0)]
 
@@ -706,16 +770,18 @@ class TestProductScan:
 
 
 class TestTableRing:
-    def test_put_evicts_exactly_the_tables_it_overwrites(self):
-        ring = mr._TableRing(10)
-        for key, rows, kept in [("a", 4, "a"), ("b", 4, "ab"),
-                                ("c", 4, "bc"),  # wraps onto a's rows 0-3
-                                ("d", 3, "cd"),  # rows 4-6, inside b's 4-7
-                                ("e", 3, "cde"),  # rows 7-9, free since b left
-                                ("f", 2, "def")]:  # wraps onto c's rows 0-3
-            ring.put(key, np.full((6, rows), float(ord(key))))
-            assert {k for k in "abcdef" if ring.get(k) is not None} == set(kept), key
-        assert ring.get("e").shape == (6, 3) and (ring.get("e") == ord("e")).all()
+    def test_a_put_past_the_end_empties_the_ring(self):
+        ring, last = mr._TableRing(10), {}
+        for i, (key, cols, kept) in enumerate([("a", 4, "a"), ("b", 4, "ab"),
+                                               ("c", 4, "c"),  # past column 9: a and b go
+                                               ("d", 3, "cd"),  # columns 4-6
+                                               ("c", 3, "cd"),  # c again, at columns 7-9
+                                               ("e", 1, "e")]):  # past column 9 again
+            ring.put(key, np.full((6, cols), float(i)))
+            last[key] = (i, cols)
+            assert {k for k in "abcde" if ring.get(k) is not None} == set(kept), i
+            for k in kept:
+                assert ring.get(k).shape == (6, last[k][1]) and (ring.get(k) == last[k][0]).all()
 
     def test_table_longer_than_the_ring_is_not_kept(self):
         ring = mr._TableRing(10)
@@ -737,12 +803,12 @@ class TestTableRing:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_puts_keep_exactly_the_tables_not_overwritten(self, seed):
-        # Reference rule: a put of n columns writes [lo, lo + n), with lo the
-        # write position or 0 when the table would run past the end, and
-        # keeps a table at [a, a + m) only if a + m <= lo or a >= lo + n.
+        # Reference rule: a put of n columns writes [pos, pos + n); when that
+        # would run past the end, every kept table is dropped first and pos
+        # is 0.  A put never overwrites a kept table, so each keeps its bytes.
         rng = np.random.default_rng(seed)
         cols = int(rng.integers(1, 40))
-        ring, spans, pos, tables = mr._TableRing(cols), {}, 0, {}
+        ring, kept, pos, tables = mr._TableRing(cols), set(), 0, {}
         wraps = too_long = 0
         for i in range(400):
             key = int(rng.integers(0, 60)) if rng.random() < 0.2 else ("t", i)
@@ -750,15 +816,15 @@ class TestTableRing:
             table = rng.standard_normal((6, n))
             ring.put(key, table)
             if n <= cols:
-                lo = pos if pos + n <= cols else 0
-                wraps += lo < pos
-                spans = {k: (a, m) for k, (a, m) in spans.items()
-                         if a + m <= lo or a >= lo + n}
-                spans[key], pos, tables[key] = (lo, n), lo + n, table
+                if pos + n > cols:
+                    kept, pos = set(), 0
+                    wraps += 1
+                kept.add(key)
+                pos, tables[key] = pos + n, table
             else:
                 too_long += 1
-            assert set(ring.spans) == set(spans), i
-            for k in spans:
+            assert set(ring.spans) == kept, i
+            for k in kept:
                 assert ring.get(k).tobytes() == tables[k].tobytes(), (i, k)
         assert wraps > 10 and too_long > 0
 
@@ -947,3 +1013,13 @@ class TestGaussianMac:
     def test_sweep_rejects_empty(self):
         with pytest.raises(ValueError):
             ie.gaussian_mac_sweep([], [0.0])
+
+    def test_mac_region_name_returns_the_closed_form(self):
+        """perfbench's tracer wraps mac_region.gaussian_mac_timeshare by name."""
+        from infoenergy import closedform
+        assert mr.gaussian_mac_timeshare.__module__ == "infoenergy.mac_region"
+        for power in (0.0, 0.5, 1.0, 2.0):
+            for b_target in (0.0, 2 * power + 1, 3 * power + 1, 4 * power + 1, 4 * power + 1.5):
+                want = closedform.gaussian_mac_timeshare(power, b_target)
+                assert mr.gaussian_mac_timeshare(power, b_target) == want, (power, b_target)
+                assert want.feasible == (b_target <= 4 * power + 1)
